@@ -15,11 +15,8 @@ from .facts import (
     MonthlyGrowth,
     ProjectMeta,
     SizeRecord,
-    VcsKind,
     YearlyAggregate,
-    first_active_years,
     join_facts,
-    with_first_active_years,
 )
 from .ingest import IngestError, IngestReport, read_facts, read_metadata, write_facts
 from .metrics import (
@@ -88,7 +85,6 @@ __all__ = [
     "SizeRecord",
     "TreeCount",
     "ValidationReport",
-    "VcsKind",
     "YearlyAggregate",
     "aggregate_all",
     "aggregate_years",
@@ -101,7 +97,6 @@ __all__ = [
     "count_tree",
     "default_registry",
     "derive_monthly_growth",
-    "first_active_years",
     "join_facts",
     "load_registry",
     "quantile",
@@ -114,7 +109,6 @@ __all__ = [
     "summarize",
     "tukey_fences",
     "validate_dataset",
-    "with_first_active_years",
     "write_aggregates_csv",
     "write_facts",
 ]

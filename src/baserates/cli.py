@@ -114,15 +114,14 @@ def _cmd_count(args) -> int:
 
 
 def _count_rows(tree: sloc.TreeCount) -> list[list]:
+    def row(path, language, counts: sloc.LineCounts) -> list:
+        return [path, language, counts.code, counts.comment, counts.blank]
+
     rows: list[list] = [["path", "language", "code", "comment", "blank"]]
-    for fc in tree.files:
-        rows.append([fc.path, fc.language, fc.code, fc.comment, fc.blank])
+    rows += [row(fc.path, fc.language, fc.counts) for fc in tree.files]
     for language in sorted(tree.by_language):
-        counts = tree.by_language[language]
-        rows.append(["(total)", language, counts.code, counts.comment, counts.blank])
-    rows.append(
-        ["(total)", "(all)", tree.total.code, tree.total.comment, tree.total.blank]
-    )
+        rows.append(row("(total)", language, tree.by_language[language]))
+    rows.append(row("(total)", "(all)", tree.total))
     return rows
 
 
@@ -186,28 +185,19 @@ def _observations(
     Code size is a snapshot of the cut-off year (the last complete year);
     the growth metrics span every project-year in the data set.
     """
+    field = metric.name.lower()  # YearlyAggregate.cs, .cga or .cgi
     observations: list[stats.Observation] = []
     undefined = 0
     for aggregate in aggregates:
-        if metric is stats.Metric.CS:
-            if aggregate.year == cutoff_year:
-                observations.append(
-                    stats.Observation(aggregate.project, aggregate.year, float(aggregate.cs))
-                )
-        elif metric is stats.Metric.CGA:
-            if aggregate.cga is None:
-                undefined += 1
-            else:
-                observations.append(
-                    stats.Observation(aggregate.project, aggregate.year, float(aggregate.cga))
-                )
+        if metric is stats.Metric.CS and aggregate.year != cutoff_year:
+            continue
+        value = getattr(aggregate, field)
+        if value is None:
+            undefined += 1
         else:
-            if aggregate.cgi is None:
-                undefined += 1
-            else:
-                observations.append(
-                    stats.Observation(aggregate.project, aggregate.year, float(aggregate.cgi))
-                )
+            observations.append(
+                stats.Observation(aggregate.project, aggregate.year, float(value))
+            )
     return observations, undefined
 
 
@@ -216,10 +206,7 @@ def run_analyze(metadata_path, facts_path, cutoff_year, policy, out_dir, svg) ->
     try:
         metas, meta_report = ingest.read_metadata(metadata_path)
         size, activity, facts_report = ingest.read_facts(facts_path)
-    except OSError as exc:
-        print(f"baserates: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ingest.IngestError as exc:
+    except (OSError, ingest.IngestError) as exc:
         print(f"baserates: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -236,16 +223,17 @@ def run_analyze(metadata_path, facts_path, cutoff_year, policy, out_dir, svg) ->
     )
     aggregates = metrics.aggregate_all(survivors, policy)
 
-    summaries = []
-    boxplots = []
-    excluded: dict[str, int] = {}
-    for metric in (stats.Metric.CS, stats.Metric.CGA, stats.Metric.CGI):
+    sections = []
+    for metric in stats.Metric:
         observations, undefined = _observations(metric, aggregates, cutoff_year)
-        excluded[metric.value] = undefined
-        if not observations:
-            continue
-        summaries.append(stats.summarize(observations, metric))
-        boxplots.append(stats.boxplot_data([obs.value for obs in observations]))
+        if observations:
+            sections.append(
+                report.MetricSection(
+                    stats.summarize(observations, metric),
+                    stats.boxplot_data([obs.value for obs in observations]),
+                    undefined,
+                )
+            )
 
     config_echo = {
         "metadata": str(metadata_path),
@@ -255,9 +243,7 @@ def run_analyze(metadata_path, facts_path, cutoff_year, policy, out_dir, svg) ->
         "out": str(out_dir),
         "svg": svg,
     }
-    document = report.build_report(
-        validation_report, summaries, boxplots, config_echo, excluded
-    )
+    document = report.build_report(validation_report, sections, config_echo)
 
     out = Path(out_dir)
     try:

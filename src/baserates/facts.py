@@ -2,45 +2,17 @@
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 from dataclasses import dataclass
 from typing import Iterable
 
 MIN_YEAR = 1950
 
 
-class VcsKind(enum.Enum):
-    GIT = "git"
-    MERCURIAL = "mercurial"
-    BAZAAR = "bazaar"
-    SVN = "svn"
-    SVN_SYNC = "svn_sync"
-    CVS = "cvs"
-
-
-_VCS_ALIASES = {
-    "git": VcsKind.GIT,
-    "gitrepository": VcsKind.GIT,
-    "hg": VcsKind.MERCURIAL,
-    "mercurial": VcsKind.MERCURIAL,
-    "hgrepository": VcsKind.MERCURIAL,
-    "bzr": VcsKind.BAZAAR,
-    "bazaar": VcsKind.BAZAAR,
-    "bzrrepository": VcsKind.BAZAAR,
-    "svn": VcsKind.SVN,
-    "subversion": VcsKind.SVN,
-    "svnrepository": VcsKind.SVN,
-    "svnsync": VcsKind.SVN_SYNC,
-    "svnsyncrepository": VcsKind.SVN_SYNC,
-    "cvs": VcsKind.CVS,
-    "cvsrepository": VcsKind.CVS,
-}
-
-
-def parse_vcs_kind(raw: str) -> VcsKind | None:
-    """Map a repository-type string to a known VCS kind; None when unknown."""
-    return _VCS_ALIASES.get(raw.strip().lower())
+# Repository types, lowercased, that the SVN configuration screen applies
+# to: plain and sync-mirrored Subversion.
+_SVN_KINDS = frozenset(
+    {"svn", "subversion", "svnrepository", "svnsync", "svnsyncrepository"}
+)
 
 
 @dataclass(frozen=True)
@@ -51,12 +23,8 @@ class Enlistment:
     url: str
 
     @property
-    def vcs_kind(self) -> VcsKind | None:
-        return parse_vcs_kind(self.kind)
-
-    @property
     def is_svn(self) -> bool:
-        return self.vcs_kind in (VcsKind.SVN, VcsKind.SVN_SYNC)
+        return self.kind.strip().lower() in _SVN_KINDS
 
 
 @dataclass(frozen=True)
@@ -66,7 +34,6 @@ class ProjectMeta:
     name: str
     enlistments: tuple[Enlistment, ...] = ()
     tags: tuple[str, ...] = ()
-    first_active_year: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -207,24 +174,3 @@ def join_facts(
             )
         )
     return joined, diagnostics
-
-
-def first_active_years(facts: Iterable[MonthlyFacts]) -> dict[str, int]:
-    """Earliest year with surviving facts, per project."""
-    years: dict[str, int] = {}
-    for fact in facts:
-        current = years.get(fact.key.project)
-        if current is None or fact.key.year < current:
-            years[fact.key.project] = fact.key.year
-    return years
-
-
-def with_first_active_years(
-    metas: Iterable[ProjectMeta], facts: Iterable[MonthlyFacts]
-) -> list[ProjectMeta]:
-    """Copies of ``metas`` with first_active_year filled in from surviving facts."""
-    years = first_active_years(facts)
-    return [
-        dataclasses.replace(meta, first_active_year=years.get(meta.name))
-        for meta in metas
-    ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,6 +57,16 @@ class IngestReport:
         return len(self.malformed)
 
 
+@contextmanager
+def _open_utf8(path: Path, newline: str | None = None):
+    """Open ``path`` as UTF-8 text; undecodable bytes raise IngestError naming it."""
+    try:
+        with path.open(encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
     """Parse one JSON object per line into project metadata records.
 
@@ -66,7 +77,7 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
     metas: list[ProjectMeta] = []
     seen: set[str] = set()
     path = Path(path)
-    with path.open(encoding="utf-8") as handle:
+    with _open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -96,8 +107,11 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         return None, "missing or empty project name"
+    raw_enlistments = doc.get("enlistments") or []
+    if not isinstance(raw_enlistments, list):
+        return None, "enlistments must be a list"
     enlistments = []
-    for raw in doc.get("enlistments") or []:
+    for raw in raw_enlistments:
         if (
             not isinstance(raw, dict)
             or not isinstance(raw.get("type"), str)
@@ -122,7 +136,7 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
     report = IngestReport()
     projects: set[str] = set()
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as handle:
+    with _open_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -75,14 +75,13 @@ def aggregate_years(
     facts: Sequence[MonthlyFacts],
     growth: Sequence[MonthlyGrowth],
     policy: str = GROWTHLESS_UNDEFINED,
-    first_active_year: int | None = None,
 ) -> list[YearlyAggregate]:
     """Aggregate one project's facts into per-year metrics.
 
     Per year: cs is the maximum monthly line count, cga the sum of the
     defined monthly absolute growth values, cgi the product of the
-    defined monthly ratios, and age the distance to the project's first
-    active year (the minimum year present unless supplied).
+    defined monthly ratios, and age the distance to the minimum year
+    present.
 
     Years without any growth month distinguish "no evidence" from "no
     change": under the "undefined" policy cga and cgi are None, under
@@ -97,11 +96,7 @@ def aggregate_years(
         raise ValueError("aggregate_years expects facts of a single project")
     project = projects.pop()
 
-    start_year = (
-        first_active_year
-        if first_active_year is not None
-        else min(fact.key.year for fact in facts)
-    )
+    start_year = min(fact.key.year for fact in facts)
     facts_by_year: dict[int, list[MonthlyFacts]] = defaultdict(list)
     for fact in facts:
         facts_by_year[fact.key.year].append(fact)

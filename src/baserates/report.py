@@ -30,24 +30,9 @@ class Report:
     sections: tuple[MetricSection, ...]
 
 
-def build_report(
-    validation: ValidationReport,
-    summaries,
-    boxplots,
-    config: dict,
-    undefined_excluded: dict | None = None,
-) -> Report:
-    """Pair each summary with its boxplot and echo the run configuration."""
-    summaries = list(summaries)
-    boxplots = list(boxplots)
-    if len(summaries) != len(boxplots):
-        raise ValueError("summaries and boxplots must align one to one")
-    excluded = undefined_excluded or {}
-    sections = tuple(
-        MetricSection(summary, boxplot, excluded.get(summary.metric.value, 0))
-        for summary, boxplot in zip(summaries, boxplots)
-    )
-    return Report(config=dict(config), validation=validation, sections=sections)
+def build_report(validation: ValidationReport, sections, config: dict) -> Report:
+    """Bundle the validation accounting, metric sections and run configuration."""
+    return Report(config=dict(config), validation=validation, sections=tuple(sections))
 
 
 def report_to_dict(report: Report) -> dict:

@@ -67,18 +67,6 @@ class FileCount:
     language: str
     counts: LineCounts
 
-    @property
-    def code(self) -> int:
-        return self.counts.code
-
-    @property
-    def comment(self) -> int:
-        return self.counts.comment
-
-    @property
-    def blank(self) -> int:
-        return self.counts.blank
-
 
 def physical_lines(text: str) -> list[str]:
     """Split text into physical lines; a final unterminated line still counts."""
@@ -217,28 +205,38 @@ def load_registry(path) -> list[LanguageSyntax]:
 
     Expected shape: {"languages": [{"name": ..., "extensions": [...],
     "line_comments": [...], "block_comments": [[open, close], ...],
-    "string_delimiters": [...]}]}.
+    "string_delimiters": [...]}]}, every list holding strings.
     """
     with Path(path).open(encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: registry must be a JSON object")
+    entries = doc.get("languages", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: registry languages must be a list")
     languages = default_registry()
-    for raw in doc.get("languages", []):
+    for raw in entries:
         try:
             languages.append(
                 LanguageSyntax(
                     name=str(raw["name"]),
-                    extensions=tuple(raw["extensions"]),
-                    line_comments=tuple(raw.get("line_comments", ())),
+                    extensions=_strings(raw["extensions"]),
+                    line_comments=_strings(raw.get("line_comments", [])),
                     block_comments=tuple(
-                        (open_delim, close_delim)
-                        for open_delim, close_delim in raw.get("block_comments", ())
+                        _strings(pair) for pair in raw.get("block_comments", [])
                     ),
-                    string_delimiters=tuple(raw.get("string_delimiters", ())),
+                    string_delimiters=_strings(raw.get("string_delimiters", [])),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad registry entry {raw!r}: {exc}") from exc
     return languages
+
+
+def _strings(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def extension_map(registry) -> dict[str, LanguageSyntax]:

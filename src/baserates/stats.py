@@ -36,7 +36,10 @@ def quantile(values: Sequence[float], p: float) -> float:
         raise ValueError("quantile of an empty sample")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"quantile fraction {p} outside [0, 1]")
-    xs = sorted(values)
+    return _sorted_quantile(sorted(values), p)
+
+
+def _sorted_quantile(xs: Sequence[float], p: float) -> float:
     h = (len(xs) - 1) * p
     lower = math.floor(h)
     fraction = h - lower
@@ -47,10 +50,17 @@ def quantile(values: Sequence[float], p: float) -> float:
 
 def tukey_fences(values: Sequence[float]) -> tuple[float, float]:
     """(lower, upper) outlier fences at 1.5 IQR beyond the quartiles."""
-    q1 = quantile(values, 0.25)
-    q3 = quantile(values, 0.75)
+    if len(values) == 0:
+        raise ValueError("quantile of an empty sample")
+    return _quartiles_and_fences(sorted(values))[3:]
+
+
+def _quartiles_and_fences(xs: Sequence[float]) -> tuple[float, ...]:
+    """(q1, median, q3, lower fence, upper fence) of a sorted, non-empty sample."""
+    q1 = _sorted_quantile(xs, 0.25)
+    q3 = _sorted_quantile(xs, 0.75)
     spread = TUKEY_FENCE_FACTOR * (q3 - q1)
-    return q1 - spread, q3 + spread
+    return q1, _sorted_quantile(xs, 0.5), q3, q1 - spread, q3 + spread
 
 
 @dataclass(frozen=True)
@@ -78,19 +88,14 @@ def summarize(observations: Sequence[Observation], metric: Metric) -> MetricSumm
     """
     if not observations:
         raise ValueError(f"no defined observations for {metric.value}")
-    values = [float(obs.value) for obs in observations]
-    median = quantile(values, 0.5)
-    q1 = quantile(values, 0.25)
-    q3 = quantile(values, 0.75)
-    spread = TUKEY_FENCE_FACTOR * (q3 - q1)
-    low, high = q1 - spread, q3 + spread
-    outliers = sum(1 for value in values if value < low or value > high)
+    xs = sorted(float(obs.value) for obs in observations)
+    q1, median, q3, low, high = _quartiles_and_fences(xs)
+    outliers = sum(1 for value in xs if value < low or value > high)
 
     matches = [obs for obs in observations if float(obs.value) == median]
     if matches:
         attainers = sorted((obs.project, obs.year) for obs in matches)
     else:
-        xs = sorted(values)
         lower = math.floor((len(xs) - 1) * 0.5)
         bracket = {xs[lower], xs[lower + 1]}
         attainers = sorted(
@@ -103,7 +108,7 @@ def summarize(observations: Sequence[Observation], metric: Metric) -> MetricSumm
         median=median,
         median_attainers=tuple(attainers),
         iqr=q3 - q1,
-        observations=len(values),
+        observations=len(xs),
         outliers=outliers,
     )
 
@@ -124,16 +129,16 @@ def boxplot_data(values: Sequence[float]) -> BoxplotData:
     """Boxplot data with whiskers at the most extreme points inside the fences."""
     if len(values) == 0:
         raise ValueError("no values to plot")
-    vals = [float(value) for value in values]
-    low, high = tukey_fences(vals)
-    inside = [value for value in vals if low <= value <= high]
+    xs = sorted(float(value) for value in values)
+    q1, median, q3, low, high = _quartiles_and_fences(xs)
+    inside = [value for value in xs if low <= value <= high]
     return BoxplotData(
-        q1=quantile(vals, 0.25),
-        median=quantile(vals, 0.5),
-        q3=quantile(vals, 0.75),
+        q1=q1,
+        median=median,
+        q3=q3,
         whisker_low=min(inside),
         whisker_high=max(inside),
-        outlier_values=tuple(sorted(v for v in vals if v < low or v > high)),
+        outlier_values=tuple(v for v in xs if v < low or v > high),
     )
 
 

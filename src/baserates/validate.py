@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .facts import MonthlyFacts, ProjectMeta
@@ -68,21 +68,7 @@ class ValidationReport:
     after_cutoff: AfterCutoff
 
     def to_dict(self) -> dict:
-        return {
-            "projects_collected": self.projects_collected,
-            "excluded_missing_data": self.excluded_missing_data,
-            "excluded_svn_config": self.excluded_svn_config,
-            "projects_remaining": self.projects_remaining,
-            "months_before_rule3": self.months_before_rule3,
-            "excluded_negative_size": self.excluded_negative_size,
-            "months_remaining": self.months_remaining,
-            "years_remaining": self.years_remaining,
-            "after_cutoff": {
-                "projects": self.after_cutoff.projects,
-                "months": self.after_cutoff.months,
-                "years": self.after_cutoff.years,
-            },
-        }
+        return asdict(self)
 
 
 def table_rows(report: ValidationReport) -> list[tuple[str, int]]:
@@ -106,19 +92,6 @@ def table_rows(report: ValidationReport) -> list[tuple[str, int]]:
         ("Project months finally remaining after cut-off", report.after_cutoff.months),
         ("Project years finally remaining after cut-off", report.after_cutoff.years),
     ]
-
-
-def render_validation_text(report: ValidationReport) -> str:
-    """Aligned two-column text rendering of the accounting table."""
-    rows = table_rows(report)
-    label_width = max(len(label) for label, _ in rows)
-    value_width = max(len(f"{value:,}") for _, value in rows)
-    return (
-        "\n".join(
-            f"{label:<{label_width}}  {value:>{value_width},}" for label, value in rows
-        )
-        + "\n"
-    )
 
 
 def validate_dataset(

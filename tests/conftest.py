@@ -2,14 +2,31 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
+import baserates
 from baserates.facts import FactKey, MonthlyFacts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
 GOLDEN = FIXTURES / "golden"
 SLOC_DIR = FIXTURES / "sloc"
+
+# The directory that holds the imported `baserates` package, absolute so a
+# child interpreter finds the same package from its own working directory
+# (a relative PYTHONPATH entry such as `src` would resolve against it).
+PACKAGE_ROOT = Path(baserates.__file__).resolve().parent.parent
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with PACKAGE_ROOT first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
+    )
+    return env
+
 
 # Hand-counted (code, comment, blank) for every line-classification fixture.
 SLOC_MANIFEST = {

@@ -93,11 +93,13 @@ class TestCount:
 
     def test_bad_registry_is_io_error(self, tmp_path, capsys):
         registry = tmp_path / "registry.json"
-        registry.write_text("{broken", encoding="utf-8")
-        assert (
-            main(["count", "--root", str(SLOC_DIR), "--registry", str(registry)])
-            == EXIT_IO
-        )
+        for document in ("{broken", '{"languages": 5}'):
+            registry.write_text(document, encoding="utf-8")
+            assert (
+                main(["count", "--root", str(SLOC_DIR), "--registry", str(registry)])
+                == EXIT_IO
+            )
+            assert "cannot load registry" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -136,6 +138,14 @@ class TestAnalyze:
 
     def test_missing_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("name", ["metadata.jsonl", "facts.csv"])
+    def test_non_utf8_input_is_io_error(self, tmp_path, capsys, name):
+        copy_corpus(tmp_path)
+        with (tmp_path / name).open("ab") as handle:
+            handle.write(b"caf\xe9\n")
+        assert main(analyze_args(tmp_path)) == EXIT_IO
+        assert name in capsys.readouterr().err
 
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         copy_corpus(tmp_path)

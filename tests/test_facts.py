@@ -1,4 +1,4 @@
-"""Domain model: keys, joining, VCS kinds, first-active-year derivation."""
+"""Domain model: keys, joining, SVN enlistment detection."""
 
 from __future__ import annotations
 
@@ -12,14 +12,9 @@ from baserates.facts import (
     FactKey,
     ProjectMeta,
     SizeRecord,
-    VcsKind,
-    first_active_years,
     join_facts,
-    parse_vcs_kind,
     previous_month,
-    with_first_active_years,
 )
-from conftest import make_month
 
 
 def size_record(project, year, month, loc=100):
@@ -59,26 +54,26 @@ def test_previous_month_crosses_year_boundary():
     assert previous_month(2010, 6) == (2010, 5)
 
 
-class TestVcsKind:
+class TestEnlistmentIsSvn:
     @pytest.mark.parametrize(
-        "raw,kind",
+        "raw,is_svn",
         [
-            ("SvnRepository", VcsKind.SVN),
-            ("SvnSyncRepository", VcsKind.SVN_SYNC),
-            ("GitRepository", VcsKind.GIT),
-            ("HgRepository", VcsKind.MERCURIAL),
-            ("BzrRepository", VcsKind.BAZAAR),
-            ("CvsRepository", VcsKind.CVS),
-            ("git", VcsKind.GIT),
+            ("SvnRepository", True),
+            ("SvnSyncRepository", True),
+            pytest.param(" SVN ", True, id="padded-SVN-True"),
+            ("GitRepository", False),
+            ("HgRepository", False),
+            ("BzrRepository", False),
+            ("CvsRepository", False),
+            ("git", False),
         ],
     )
-    def test_known_spellings(self, raw, kind):
-        assert parse_vcs_kind(raw) is kind
+    def test_known_spellings(self, raw, is_svn):
+        assert Enlistment(raw, "https://x.org/repo").is_svn is is_svn
 
     def test_unknown_kind_is_preserved_and_not_svn(self):
         enlistment = Enlistment("FossilRepository", "https://x.org/repo")
         assert enlistment.kind == "FossilRepository"
-        assert enlistment.vcs_kind is None
         assert not enlistment.is_svn
 
     def test_svn_variants_flagged(self):
@@ -193,20 +188,3 @@ def test_activity_record_rejects_negative_counts():
 def test_project_meta_requires_name():
     with pytest.raises(ValueError):
         ProjectMeta("")
-
-
-class TestFirstActiveYears:
-    def test_minimum_year_over_surviving_facts(self):
-        facts = [
-            make_month("p", 2011, 3, 10),
-            make_month("p", 2009, 7, 10),
-            make_month("q", 2012, 1, 10),
-        ]
-        assert first_active_years(facts) == {"p": 2009, "q": 2012}
-
-    def test_with_first_active_years_fills_metadata(self):
-        metas = [ProjectMeta("p"), ProjectMeta("r")]
-        facts = [make_month("p", 2010, 1, 10)]
-        updated = with_first_active_years(metas, facts)
-        assert updated[0].first_active_year == 2010
-        assert updated[1].first_active_year is None

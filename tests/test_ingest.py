@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from baserates.facts import ActivityRecord, FactKey, SizeRecord, VcsKind
+from baserates.facts import ActivityRecord, FactKey, SizeRecord
 from baserates.ingest import (
     FACTS_HEADER,
     IngestError,
@@ -44,7 +44,7 @@ class TestReadMetadata:
             '{"name": "p", "enlistments": [{"type": "SvnRepository", "url": "http://svn/x/trunk"}]}',
         )
         metas, _ = read_metadata(path)
-        assert metas[0].enlistments[0].vcs_kind is VcsKind.SVN
+        assert metas[0].enlistments[0].is_svn
 
     def test_empty_name_is_malformed(self, tmp_path):
         path = tmp_path / "meta.jsonl"
@@ -73,11 +73,20 @@ class TestReadMetadata:
         assert len(metas) == 1 and metas[0].tags == ("first",)
         assert report.malformed_records == 1
 
-    def test_enlistment_without_url_is_malformed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"name": "p", "enlistments": [{"type": "GitRepository"}]}',
+            '{"name": "p", "enlistments": 5}',
+        ],
+        ids=["no-url", "enlistments-not-a-list"],
+    )
+    def test_enlistment_without_url_is_malformed(self, tmp_path, record):
         path = tmp_path / "meta.jsonl"
-        write_lines(path, '{"name": "p", "enlistments": [{"type": "GitRepository"}]}')
+        write_lines(path, '{"name": "ok"}', record)
         metas, report = read_metadata(path)
-        assert metas == [] and report.malformed_records == 1
+        assert [m.name for m in metas] == ["ok"] and report.malformed_records == 1
+        assert (report.malformed[0].file, report.malformed[0].line) == (str(path), 2)
 
     def test_blank_lines_are_not_records(self, tmp_path):
         path = tmp_path / "meta.jsonl"

@@ -90,12 +90,6 @@ class TestAggregateYears:
         assert aggregate.cgi == pytest.approx(1.21)
         assert aggregate.cs == 121
 
-    def test_age_from_first_active_year(self):
-        facts = month_run("p", 2008, [100, 110])
-        growth = derive_monthly_growth(facts)
-        aggregate = aggregate_years(facts, growth, first_active_year=2004)[0]
-        assert aggregate.age == 4
-
     def test_age_defaults_to_minimum_year_present(self):
         facts = [make_month("p", 2010, 6, 10), make_month("p", 2012, 6, 20)]
         aggregates = aggregate_years(facts, [])

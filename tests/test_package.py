@@ -1,0 +1,73 @@
+"""Package surface: the names README documents and the calls the benchmark times."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import baserates
+from conftest import CORPUS, SLOC_DIR, child_env
+
+REPO = Path(__file__).resolve().parent.parent
+BENCH = REPO / "bench"
+
+
+def test_readme_library_names_are_exported():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    imported = re.search(r"from baserates import \(([^)]*)\)", section).group(1)
+    names = [name.strip() for name in imported.split(",") if name.strip()]
+    assert names
+    assert set(names) <= set(baserates.__all__)
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("run")
+
+
+def run_trace_pass(args, cwd):
+    result = subprocess.run(
+        [sys.executable, str(BENCH / "trace_pass.py"), *args],
+        cwd=cwd,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_trace_pass_reports_every_analyze_stage(tmp_path, bench_run):
+    stages = run_trace_pass(
+        [
+            "analyze",
+            "--metadata",
+            str(CORPUS / "metadata.jsonl"),
+            "--facts",
+            str(CORPUS / "facts.csv"),
+            "--cutoff-year",
+            "2012",
+            "--out",
+            str(tmp_path / "out"),
+            "--svg",
+        ],
+        tmp_path,
+    )
+    assert set(bench_run.ANALYZE_LAYERS) <= set(stages)
+
+
+def test_trace_pass_reports_every_count_stage(tmp_path, bench_run):
+    stages = run_trace_pass(
+        ["count", "--root", str(SLOC_DIR), "--out", str(tmp_path / "counts.csv")],
+        tmp_path,
+    )
+    assert set(bench_run.COUNT_LAYERS) <= set(stages)

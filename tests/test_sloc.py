@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given
@@ -201,7 +202,7 @@ class TestRegistry:
         path = tmp_path / "x.py"
         path.write_text("x = 1\n", encoding="utf-8")
         fc = count_file(path, HASH)
-        assert fc.language == "hash" and fc.code == 1
+        assert fc.language == "hash" and fc.counts.code == 1
 
     def test_extension_lookup_is_case_insensitive(self, tmp_path):
         (tmp_path / "UPPER.C").write_text("int x;\n", encoding="utf-8")
@@ -237,9 +238,19 @@ class TestRegistry:
 
     def test_load_registry_rejects_bad_entries(self, tmp_path):
         config = tmp_path / "registry.json"
-        config.write_text('{"languages": [{"name": "x"}]}', encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_registry(config)
+        for document in (
+            '{"languages": [{"name": "x"}]}',
+            '{"languages": 5}',
+            "[]",
+            '{"languages": [{"name": "x", "extensions": [5]}]}',
+            '{"languages": [{"name": "x", "extensions": "abc"}]}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": "#"}]}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "string_delimiters": [1]}]}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "block_comments": [[5, 6]]}]}',
+        ):
+            config.write_text(document, encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(str(config))):
+                load_registry(config)
 
     def test_language_syntax_requires_extensions_and_delimiters(self):
         with pytest.raises(ValueError):

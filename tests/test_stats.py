@@ -47,6 +47,8 @@ class TestQuantile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             quantile([], 0.5)
+        with pytest.raises(ValueError):
+            tukey_fences([])
 
     @pytest.mark.parametrize("p", [-0.1, 1.1])
     def test_fraction_out_of_range_rejected(self, p):

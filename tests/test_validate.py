@@ -7,12 +7,12 @@ import re
 import pytest
 
 from baserates.facts import Enlistment, FactKey, ProjectMeta
+from baserates.report import build_report, render_text
 from baserates.validate import (
     SVN_URL_PATTERNS,
     AfterCutoff,
     ValidationReport,
     check_svn_enlistments,
-    render_validation_text,
     table_rows,
     validate_dataset,
 )
@@ -249,7 +249,8 @@ class TestReportRendering:
         ]
 
     def test_text_rendering_is_aligned(self):
-        text = render_validation_text(self.sample_report())
-        lines = text.splitlines()
+        text = render_text(build_report(self.sample_report(), [], {}))
+        block = text.split("Data set validation\n-------------------\n")[1]
+        lines = block.split("\n\n")[0].splitlines()
         assert len(lines) == 11
         assert len({len(line) for line in lines}) == 1  # right-aligned values
