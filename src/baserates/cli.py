@@ -155,7 +155,7 @@ def _cmd_analyze(args) -> int:
         metrics.GROWTHLESS_UNDEFINED,
     )
     out_dir = setting(args.out, "out")
-    svg = bool(setting(args.svg, "svg", False))
+    svg = setting(args.svg, "svg", False)
 
     missing = [
         flag
@@ -171,6 +171,11 @@ def _cmd_analyze(args) -> int:
         return _fail_usage(f"missing required option(s): {', '.join(missing)}")
     if not isinstance(cutoff_year, int) or isinstance(cutoff_year, bool):
         return _fail_usage("--cutoff-year must be an integer")
+    for key, value in (("metadata", metadata_path), ("facts", facts_path), ("out", out_dir)):
+        if not isinstance(value, str):
+            return _fail_usage(f"config key {key!r} must be a string")
+    if not isinstance(svg, bool):
+        return _fail_usage("config key 'svg' must be true or false")
     if policy not in metrics.GROWTHLESS_POLICIES:
         return _fail_usage(f"unknown growthless-year policy {policy!r}")
 

@@ -139,19 +139,21 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
     with _open_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty facts file (missing header)") from None
-        if header != FACTS_HEADER:
-            raise IngestError(f"{path}: unexpected header {','.join(header)!r}")
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            lineno = reader.line_num
-            report.records_read += 1
-            reason = _parse_facts_row(row, size, activity, projects)
-            if reason is not None:
-                report.malformed.append(RecordDiagnostic(str(path), lineno, reason))
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty facts file (missing header)")
+            if header != FACTS_HEADER:
+                raise IngestError(f"{path}: unexpected header {','.join(header)!r}")
+            for row in reader:
+                if not any(cell.strip() for cell in row):
+                    continue
+                lineno = reader.line_num
+                report.records_read += 1
+                reason = _parse_facts_row(row, size, activity, projects)
+                if reason is not None:
+                    report.malformed.append(RecordDiagnostic(str(path), lineno, reason))
+        except csv.Error as exc:
+            raise IngestError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from None
     report.projects_read = len(projects)
     return size, activity, report
 

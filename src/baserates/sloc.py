@@ -6,6 +6,13 @@ so mixed lines count as code. Block-comment state carries across lines,
 and comment openers inside string literals are inert. Two limitations
 are deliberate: block comments do not nest (the first close delimiter
 ends the comment), and string literals do not span lines.
+
+A line is scanned from one delimiter to the next. Outside comments and
+strings, one regex per syntax finds the next opener, trying line comments,
+block openers and string delimiters in that order; a non-whitespace
+search before it decides whether the line has code. A block comment
+ends at the next closer, a string at the next closer not escaped by a
+backslash (which skips the character after it).
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .facts import FactKey, SizeRecord
@@ -39,6 +48,21 @@ class LanguageSyntax:
             delimiters += [open_delim, close_delim]
         if any(not d for d in delimiters):
             raise ValueError(f"language {self.name!r} has an empty delimiter")
+
+    @cached_property
+    def _scanner(self):
+        """Opener regex in priority order, each opener's kind and closer, and ``\\S``."""
+        starts: dict[str, tuple[str, object]] = {}
+        for opener in self.line_comments:
+            starts.setdefault(opener, ("line", None))
+        for opener, close in self.block_comments:
+            starts.setdefault(opener, ("block", close))
+        for opener in self.string_delimiters:
+            starts.setdefault(opener, ("string", re.compile(r"\\|" + re.escape(opener))))
+        # Openers are tried only at non-whitespace, so one led by whitespace never opens.
+        alternatives = [re.escape(o) for o in starts if not o[0].isspace()]
+        openers = re.compile("|".join(alternatives)) if alternatives else None
+        return openers, starts, re.compile(r"\S")
 
 
 @dataclass(frozen=True)
@@ -86,81 +110,50 @@ def classify_lines(text: str, syntax: LanguageSyntax) -> LineCounts:
     code = comment = blank = 0
     block_close: str | None = None
     for line in physical_lines(text):
-        kind, block_close = _classify_line(line, syntax, block_close)
-        if kind == "code":
-            code += 1
-        elif kind == "comment":
-            comment += 1
-        else:
+        if not line.strip():
             blank += 1
+            continue
+        has_code, block_close = _scan_line(line, syntax, block_close)
+        if has_code:
+            code += 1
+        else:
+            comment += 1
     return LineCounts(code, comment, blank)
 
 
-def _match_at(line: str, pos: int, candidates) -> str | None:
-    for candidate in candidates:
-        if line.startswith(candidate, pos):
-            return candidate
-    return None
-
-
-def _classify_line(
+def _scan_line(
     line: str, syntax: LanguageSyntax, block_close: str | None
-) -> tuple[str, str | None]:
-    """Classify one line and thread the open block-comment delimiter through."""
-    if not line.strip():
-        return "blank", block_close
-
+) -> tuple[bool, str | None]:
+    """Whether a non-blank line holds code, and the block closer still open after it."""
+    openers, starts, non_space = syntax._scanner
     has_code = False
-    has_comment = False
-    string_close: str | None = None
-    i = 0
-    n = len(line)
-    while i < n:
+    pos = 0
+    while True:
         if block_close is not None:
-            # The delimiters themselves count as comment content.
-            has_comment = True
-            end = line.find(block_close, i)
+            end = line.find(block_close, pos)
             if end == -1:
-                i = n
-            else:
-                i = end + len(block_close)
-                block_close = None
-            continue
-        if string_close is not None:
-            if line[i] == "\\":
-                i += 2
-                continue
-            if line.startswith(string_close, i):
-                i += len(string_close)
-                string_close = None
-                continue
-            i += 1
-            continue
-        if line[i].isspace():
-            i += 1
-            continue
-        if _match_at(line, i, syntax.line_comments):
-            has_comment = True
-            break
-        opener_pair = next(
-            (pair for pair in syntax.block_comments if line.startswith(pair[0], i)),
-            None,
-        )
-        if opener_pair is not None:
-            has_comment = True
-            block_close = opener_pair[1]
-            i += len(opener_pair[0])
-            continue
-        delimiter = _match_at(line, i, syntax.string_delimiters)
-        if delimiter is not None:
-            has_code = True
-            string_close = delimiter
-            i += len(delimiter)
+                return has_code, block_close
+            pos = end + len(block_close)
+            block_close = None
+        match = openers.search(line, pos) if openers else None
+        stop = match.start() if match else len(line)
+        has_code = has_code or non_space.search(line, pos, stop) is not None
+        if match is None:
+            return has_code, None
+        kind, close = starts[match.group()]
+        if kind == "line":
+            return has_code, None
+        pos = match.end()
+        if kind == "block":
+            block_close = close
             continue
         has_code = True
-        i += 1
-
-    return ("code" if has_code else "comment"), block_close
+        # ``close`` finds a backslash, which skips the next character, or the closer.
+        while (found := close.search(line, pos)) is not None and found.group() == "\\":
+            pos = found.start() + 2
+        if found is None:
+            return True, None
+        pos = found.end()
 
 
 def default_registry() -> list[LanguageSyntax]:

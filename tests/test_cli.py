@@ -147,6 +147,16 @@ class TestAnalyze:
         assert main(analyze_args(tmp_path)) == EXIT_IO
         assert name in capsys.readouterr().err
 
+    def test_oversized_csv_field_is_io_error_with_line(self, tmp_path, capsys):
+        copy_corpus(tmp_path)
+        lines = (tmp_path / "facts.csv").read_text(encoding="utf-8").splitlines()
+        lines.insert(2, "x" * 131_073 + ",2010,1,1,0,0,,,,")
+        (tmp_path / "facts.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(analyze_args(tmp_path)) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'facts.csv'}:3:" in err
+        assert "Traceback" not in err
+
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         copy_corpus(tmp_path)
         argv = analyze_args(tmp_path, metadata=str(tmp_path / "absent.jsonl"))
@@ -230,6 +240,26 @@ class TestAnalyze:
             encoding="utf-8",
         )
         assert main(["analyze", "--config", str(config_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("metadata", 5), ("facts", ["facts.csv"]), ("out", True), ("svg", "no")],
+    )
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, key, value):
+        copy_corpus(tmp_path)
+        config = {
+            "metadata": str(tmp_path / "metadata.jsonl"),
+            "facts": str(tmp_path / "facts.csv"),
+            "cutoff_year": 2012,
+            "out": str(tmp_path / "out"),
+            key: value,
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert repr(key) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_aggregates_csv_matches_survivors(self, tmp_path):
         copy_corpus(tmp_path)

@@ -1,0 +1,204 @@
+"""Differential tests of the line classifier against the per-character loop.
+
+``_classify_line`` and ``_match_at`` below are the classifier the package
+used before it scanned from one delimiter to the next. They step through
+a line one character at a time and serve here as the oracle: the scanner
+must give the same kind and the same open block-comment closer for every
+line, and so the same counts, on generated and on real text.
+"""
+
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from baserates.sloc import (
+    LanguageSyntax,
+    LineCounts,
+    _scan_line,
+    classify_lines,
+    default_registry,
+    physical_lines,
+)
+from conftest import SLOC_DIR
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Openers that overlap within a group in both priority orders (`/*` before
+# `/**`, `"""` before `"`) and across groups (line comment `--` and block
+# opener `--[[`, block opener `{-` and string `{`, `|` in two groups),
+# regex metacharacters, a string delimiter that starts with a backslash,
+# and a line comment that starts with whitespace (which can never open).
+ADVERSARIAL = LanguageSyntax(
+    name="adversarial",
+    extensions=(".adv",),
+    line_comments=("|", "--", "\t;"),
+    block_comments=(
+        ("/*", "*/"),
+        ("/**", "**/"),
+        ("(*", "*)"),
+        ("{-", "-}"),
+        ("--[[", "]]"),
+    ),
+    string_delimiters=('"""', '"', "\\q", "'", "{", "|"),
+)
+SYNTAXES = [*default_registry(), ADVERSARIAL]
+
+
+def delimiters(syntax: LanguageSyntax) -> list[str]:
+    pairs = [d for pair in syntax.block_comments for d in pair]
+    return sorted({*syntax.line_comments, *syntax.string_delimiters, *pairs})
+
+
+ALL_DELIMITERS = sorted({d for syntax in SYNTAXES for d in delimiters(syntax)})
+# Escapes, line ends, blank lines and whitespace beyond ASCII that both
+# `str.strip` and the `\S` search treat as space.
+FILLER = [*" \t\x0b\x1c\xa0\u2003\u3000\r\\\\xq*/-}", "\n", "\r\n", "\n  \n", "\n\n"]
+
+
+def text_for(syntax: LanguageSyntax):
+    """Text mostly made of the syntax's own delimiters (all of them for text)."""
+    own = delimiters(syntax) or ALL_DELIMITERS
+    tokens = 4 * own + ["\\" + d for d in own] + FILLER
+    return st.lists(st.sampled_from(tokens), max_size=120).map("".join)
+
+
+def _match_at(line: str, pos: int, candidates) -> str | None:
+    for candidate in candidates:
+        if line.startswith(candidate, pos):
+            return candidate
+    return None
+
+
+def _classify_line(
+    line: str, syntax: LanguageSyntax, block_close: str | None
+) -> tuple[str, str | None]:
+    """Classify one line and thread the open block-comment delimiter through."""
+    if not line.strip():
+        return "blank", block_close
+
+    has_code = False
+    has_comment = False
+    string_close: str | None = None
+    i = 0
+    n = len(line)
+    while i < n:
+        if block_close is not None:
+            # The delimiters themselves count as comment content.
+            has_comment = True
+            end = line.find(block_close, i)
+            if end == -1:
+                i = n
+            else:
+                i = end + len(block_close)
+                block_close = None
+            continue
+        if string_close is not None:
+            if line[i] == "\\":
+                i += 2
+                continue
+            if line.startswith(string_close, i):
+                i += len(string_close)
+                string_close = None
+                continue
+            i += 1
+            continue
+        if line[i].isspace():
+            i += 1
+            continue
+        if _match_at(line, i, syntax.line_comments):
+            has_comment = True
+            break
+        opener_pair = next(
+            (pair for pair in syntax.block_comments if line.startswith(pair[0], i)),
+            None,
+        )
+        if opener_pair is not None:
+            has_comment = True
+            block_close = opener_pair[1]
+            i += len(opener_pair[0])
+            continue
+        delimiter = _match_at(line, i, syntax.string_delimiters)
+        if delimiter is not None:
+            has_code = True
+            string_close = delimiter
+            i += len(delimiter)
+            continue
+        has_code = True
+        i += 1
+
+    return ("code" if has_code else "comment"), block_close
+
+
+def oracle_counts(text: str, syntax: LanguageSyntax) -> LineCounts:
+    kinds = {"code": 0, "comment": 0, "blank": 0}
+    block_close = None
+    for line in physical_lines(text):
+        kind, block_close = _classify_line(line, syntax, block_close)
+        kinds[kind] += 1
+    return LineCounts(**kinds)
+
+
+def assert_matches_oracle(text: str, syntax: LanguageSyntax) -> None:
+    """Same kind and carried block closer per line, and the same counts."""
+    oracle_close = scan_close = None
+    for number, line in enumerate(physical_lines(text), start=1):
+        expected = _classify_line(line, syntax, oracle_close)
+        oracle_close = expected[1]
+        if line.strip():
+            has_code, scan_close = _scan_line(line, syntax, scan_close)
+            got = ("code" if has_code else "comment", scan_close)
+        else:
+            got = ("blank", scan_close)
+        assert got == expected, (syntax.name, number, line)
+    assert classify_lines(text, syntax) == oracle_counts(text, syntax)
+
+
+@pytest.mark.parametrize("syntax", SYNTAXES, ids=lambda s: s.name)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_generated_text_matches_oracle(syntax, data):
+    assert_matches_oracle(data.draw(text_for(syntax)), syntax)
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("/**/ x\n", (1, 0, 0)),  # `/*` wins over `/**`, so `*/` closes it
+        ('"""a"b"""(*\nb *)\n', (1, 1, 0)),  # `"""` wins over `"`
+        ('"\\"(*\nx\n', (2, 0, 0)),  # `\` skips the quote after it
+        ("\t; x\n", (1, 0, 0)),  # a whitespace-led opener never opens
+        ("\\q ab \\q (*\nx *)\n", (2, 0, 0)),  # `\q` cannot close itself
+        ("--[[ a\nb ]]\n", (1, 1, 0)),  # line comment `--` wins over block `--[[`
+        ("(* a\n\n *) b\n", (1, 1, 1)),
+    ],
+)
+def test_adversarial_examples(text, expected):
+    counts = classify_lines(text, ADVERSARIAL)
+    assert (counts.code, counts.comment, counts.blank) == expected
+    assert_matches_oracle(text, ADVERSARIAL)
+
+
+def test_real_sources_match_oracle(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    gen = importlib.import_module("gen")
+    gen.write_source_tree(tmp_path / "tree", seed=11, total_bytes=50_000)
+    roots = [SLOC_DIR, REPO / "src", REPO / "bench", tmp_path / "tree"]
+    paths = sorted(
+        p
+        for root in roots
+        for p in root.rglob("*")
+        if p.is_file() and "__pycache__" not in p.parts
+    )
+    assert len(paths) > 40
+    for path in paths:
+        text = path.read_bytes().decode("utf-8", errors="replace")
+        for syntax in SYNTAXES:
+            assert classify_lines(text, syntax) == oracle_counts(text, syntax), (
+                path,
+                syntax.name,
+            )
