@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 MIN_YEAR = 1950
 
@@ -40,21 +40,28 @@ class ProjectMeta:
             raise ValueError("project name must be non-empty")
 
 
-@dataclass(frozen=True, order=True)
-class FactKey:
-    """Identifies one project-month; a data set holds at most one facts tuple per key."""
-
+class _FactKey(NamedTuple):
     project: str
     year: int
     month: int
 
-    def __post_init__(self) -> None:
-        if not self.project:
-            raise ValueError("project name must be non-empty")
-        if self.year < MIN_YEAR:
-            raise ValueError(f"year {self.year} precedes {MIN_YEAR}")
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month {self.month} outside 1..12")
+
+class FactKey(_FactKey):
+    """Identifies one project-month; a data set holds at most one facts tuple per key.
+
+    Keys compare as (project, year, month) tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, project, year, month):
+        if not project:
+            raise ValueError("empty project name")
+        if year < MIN_YEAR:
+            raise ValueError(f"year {year} precedes {MIN_YEAR}")
+        if not 1 <= month <= 12:
+            raise ValueError(f"month {month} outside 1..12")
+        return tuple.__new__(cls, (project, year, month))
 
 
 def previous_month(year: int, month: int) -> tuple[int, int]:
@@ -64,8 +71,7 @@ def previous_month(year: int, month: int) -> tuple[int, int]:
     return year, month - 1
 
 
-@dataclass(frozen=True)
-class SizeRecord:
+class SizeRecord(NamedTuple):
     """End-of-month source tree size; loc may be negative before validation."""
 
     key: FactKey
@@ -74,24 +80,28 @@ class SizeRecord:
     blanks: int
 
 
-@dataclass(frozen=True)
-class ActivityRecord:
-    """Monthly change counts; all fields are non-negative by construction."""
-
+class _ActivityRecord(NamedTuple):
     key: FactKey
     loc_added: int
     loc_removed: int
     commits: int
     contributors: int
 
-    def __post_init__(self) -> None:
-        for name in ("loc_added", "loc_removed", "commits", "contributors"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+class ActivityRecord(_ActivityRecord):
+    """Monthly change counts; all fields are non-negative by construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, key, loc_added, loc_removed, commits, contributors):
+        counts = (loc_added, loc_removed, commits, contributors)
+        for name, value in zip(cls._fields[1:], counts):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        return tuple.__new__(cls, (key, *counts))
 
 
-@dataclass(frozen=True)
-class MonthlyFacts:
+class MonthlyFacts(NamedTuple):
     """Size and activity facts joined for one project-month."""
 
     key: FactKey
@@ -104,8 +114,7 @@ class MonthlyFacts:
     contributors: int
 
 
-@dataclass(frozen=True)
-class MonthlyGrowth:
+class MonthlyGrowth(NamedTuple):
     """Month-over-month change; indexed_growth is None when the previous month had zero lines."""
 
     key: FactKey
@@ -132,9 +141,10 @@ def join_facts(
     """Inner-join size and activity records on their keys.
 
     Months present in only one input are dropped. A duplicate key within
-    either input rejects that whole project; one diagnostic per duplicate
-    is returned alongside the joined facts, which come back sorted by
-    (project, year, month).
+    either input rejects that whole project; one diagnostic per duplicate,
+    in input order, is returned alongside the joined facts. The inputs may
+    come in any order; the joined facts come back sorted by key, that is
+    by (project, year, month).
     """
     rejected: set[str] = set()
     diagnostics: list[str] = []
@@ -155,22 +165,9 @@ def join_facts(
     size_by_key = index(size, "size")
     activity_by_key = index(activity, "activity")
 
-    joined: list[MonthlyFacts] = []
-    for key in sorted(size_by_key.keys() & activity_by_key.keys()):
-        if key.project in rejected:
-            continue
-        s = size_by_key[key]
-        a = activity_by_key[key]
-        joined.append(
-            MonthlyFacts(
-                key,
-                s.loc,
-                s.comments,
-                s.blanks,
-                a.loc_added,
-                a.loc_removed,
-                a.commits,
-                a.contributors,
-            )
-        )
+    joined = [
+        MonthlyFacts(*size_by_key[key], *activity_by_key[key][1:])
+        for key in sorted(size_by_key.keys() & activity_by_key.keys())
+        if key.project not in rejected
+    ]
     return joined, diagnostics

@@ -8,18 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .facts import (
-    MIN_YEAR,
-    ActivityRecord,
-    Enlistment,
-    FactKey,
-    ProjectMeta,
-    SizeRecord,
-)
+from .facts import ActivityRecord, Enlistment, FactKey, ProjectMeta, SizeRecord
 
 FACTS_HEADER = [
     "project",
@@ -59,12 +53,16 @@ class IngestReport:
 
 @contextmanager
 def _open_utf8(path: Path, newline: str | None = None):
-    """Open ``path`` as UTF-8 text; undecodable bytes raise IngestError naming it."""
+    """Open ``path`` as UTF-8 text; a bad byte raises IngestError naming file and line."""
     try:
         with path.open(encoding="utf-8", newline=newline) as handle:
             yield handle
     except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        # Re-read with each bad byte escaped to a lone surrogate to find its line.
+        escaped = re.compile("[\udc80-\udcff]")
+        with path.open(encoding="utf-8", errors="surrogateescape", newline=newline) as text:
+            line = next(n for n, chars in enumerate(text, 1) if escaped.search(chars))
+        raise IngestError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
@@ -134,7 +132,6 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
     size: list[SizeRecord] = []
     activity: list[ActivityRecord] = []
     report = IngestReport()
-    projects: set[str] = set()
     path = Path(path)
     with _open_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -149,30 +146,26 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
                     continue
                 lineno = reader.line_num
                 report.records_read += 1
-                reason = _parse_facts_row(row, size, activity, projects)
+                reason = _parse_facts_row(row, size, activity)
                 if reason is not None:
                     report.malformed.append(RecordDiagnostic(str(path), lineno, reason))
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from None
-    report.projects_read = len(projects)
+    report.projects_read = len({r.key.project for records in (size, activity) for r in records})
     return size, activity, report
 
 
-def _parse_facts_row(row, size, activity, projects) -> str | None:
+def _parse_facts_row(row, size, activity) -> str | None:
     if len(row) != len(FACTS_HEADER):
         return f"expected {len(FACTS_HEADER)} fields, got {len(row)}"
-    project = row[0]
-    if not project:
-        return "empty project name"
     try:
-        year = int(row[1])
-        month = int(row[2])
+        year, month = int(row[1]), int(row[2])
     except ValueError:
         return "year and month must be integers"
-    if year < MIN_YEAR:
-        return f"year {year} precedes {MIN_YEAR}"
-    if not 1 <= month <= 12:
-        return f"month {month} outside 1..12"
+    try:
+        key = FactKey(row[0], year, month)
+    except ValueError as exc:
+        return str(exc)
 
     size_cells = row[3:6]
     activity_cells = row[6:10]
@@ -185,21 +178,19 @@ def _parse_facts_row(row, size, activity, projects) -> str | None:
     if not has_size and not has_activity:
         return "neither size nor activity fields present"
 
-    key = FactKey(project, year, month)
     size_record = activity_record = None
     if has_size:
         try:
-            loc, comments, blanks = (int(cell) for cell in size_cells)
+            size_record = SizeRecord(key, *map(int, size_cells))
         except ValueError:
             return "size fields must be integers"
-        size_record = SizeRecord(key, loc, comments, blanks)
     if has_activity:
         try:
-            added, removed, commits, contributors = (int(cell) for cell in activity_cells)
+            counts = [int(cell) for cell in activity_cells]
         except ValueError:
             return "activity fields must be integers"
         try:
-            activity_record = ActivityRecord(key, added, removed, commits, contributors)
+            activity_record = ActivityRecord(key, *counts)
         except ValueError as exc:
             return str(exc)
 
@@ -207,7 +198,6 @@ def _parse_facts_row(row, size, activity, projects) -> str | None:
         size.append(size_record)
     if activity_record is not None:
         activity.append(activity_record)
-    projects.add(project)
     return None
 
 
@@ -223,13 +213,6 @@ def write_facts(size, activity, path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(FACTS_HEADER)
         for key in sorted(set(size_by_key) | set(activity_by_key)):
-            s = size_by_key.get(key)
-            a = activity_by_key.get(key)
-            row: list = [key.project, key.year, key.month]
-            row += [s.loc, s.comments, s.blanks] if s else ["", "", ""]
-            row += (
-                [a.loc_added, a.loc_removed, a.commits, a.contributors]
-                if a
-                else ["", "", "", ""]
-            )
-            writer.writerow(row)
+            s = size_by_key[key][1:] if key in size_by_key else ("",) * 3
+            a = activity_by_key[key][1:] if key in activity_by_key else ("",) * 4
+            writer.writerow([*key, *s, *a])

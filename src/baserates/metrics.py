@@ -11,6 +11,8 @@ import csv
 import logging
 import math
 from collections import defaultdict
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -142,13 +144,15 @@ def aggregate_years(
 def aggregate_all(
     facts: Iterable[MonthlyFacts], policy: str = GROWTHLESS_UNDEFINED
 ) -> list[YearlyAggregate]:
-    """Derive growth and aggregate every project; output sorted by (project, year)."""
-    by_project: dict[str, list[MonthlyFacts]] = defaultdict(list)
-    for fact in facts:
-        by_project[fact.key.project].append(fact)
+    """Derive growth and aggregate every project.
+
+    The facts may come in any order; the aggregates come back sorted by
+    (project, year).
+    """
     aggregates: list[YearlyAggregate] = []
-    for project in sorted(by_project):
-        project_facts = sorted(by_project[project], key=lambda fact: fact.key)
+    facts = sorted(facts, key=attrgetter("key"))
+    for _, months in groupby(facts, key=attrgetter("key.project")):
+        project_facts = list(months)
         growth = derive_monthly_growth(project_facts)
         aggregates.extend(aggregate_years(project_facts, growth, policy))
     return aggregates

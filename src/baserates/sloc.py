@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -198,7 +199,9 @@ def load_registry(path) -> list[LanguageSyntax]:
 
     Expected shape: {"languages": [{"name": ..., "extensions": [...],
     "line_comments": [...], "block_comments": [[open, close], ...],
-    "string_delimiters": [...]}]}, every list holding strings.
+    "string_delimiters": [...]}]}, every list holding strings. Line
+    comments, block openers and string delimiters must not start with
+    whitespace.
     """
     with Path(path).open(encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -210,17 +213,18 @@ def load_registry(path) -> list[LanguageSyntax]:
     languages = default_registry()
     for raw in entries:
         try:
-            languages.append(
-                LanguageSyntax(
-                    name=str(raw["name"]),
-                    extensions=_strings(raw["extensions"]),
-                    line_comments=_strings(raw.get("line_comments", [])),
-                    block_comments=tuple(
-                        _strings(pair) for pair in raw.get("block_comments", [])
-                    ),
-                    string_delimiters=_strings(raw.get("string_delimiters", [])),
-                )
+            syntax = LanguageSyntax(
+                name=str(raw["name"]),
+                extensions=_strings(raw["extensions"]),
+                line_comments=_strings(raw.get("line_comments", [])),
+                block_comments=tuple(
+                    _strings(pair) for pair in raw.get("block_comments", [])
+                ),
+                string_delimiters=_strings(raw.get("string_delimiters", [])),
             )
+            if any(opener[0].isspace() for opener in syntax._scanner[1]):
+                raise ValueError("a comment or string opener starts with whitespace")
+            languages.append(syntax)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad registry entry {raw!r}: {exc}") from exc
     return languages
@@ -266,7 +270,8 @@ def count_tree(root, registry) -> TreeCount:
     """Classify every registered file under ``root``, in sorted walk order.
 
     Files with unregistered extensions are skipped and counted; files
-    that cannot be read are recorded and left out of the totals.
+    that cannot be read or are not regular files (FIFOs, devices, sockets)
+    are recorded and left out of the totals.
     """
     root = Path(root)
     if not root.is_dir():
@@ -282,6 +287,9 @@ def count_tree(root, registry) -> TreeCount:
                 result.skipped += 1
                 continue
             try:
+                # Opening a FIFO or a device can block, so only regular files are read.
+                if not stat.S_ISREG(path.stat().st_mode):
+                    raise OSError(0, "not a regular file")
                 counts = _read_and_classify(path, syntax)
             except OSError as exc:
                 message = f"{path}: {exc.strerror or exc}"

@@ -11,6 +11,8 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import asdict, dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable
 
 from .facts import MonthlyFacts, ProjectMeta
@@ -109,21 +111,26 @@ def validate_dataset(
     last; a project with no month left after the cut-off no longer
     counts as remaining.
 
+    The facts may come in any order. The survivors come back sorted by
+    key, that is by (project, year, month); facts with equal keys keep
+    their input order.
+
     A cut-off preceding every record is not an error: the survivor set
     is empty and a warning is logged.
     """
     meta_by_name = {meta.name: meta for meta in metas}
-    facts_by_project: dict[str, list[MonthlyFacts]] = {}
-    monthly_facts = list(monthly_facts)
-    for fact in monthly_facts:
-        facts_by_project.setdefault(fact.key.project, []).append(fact)
+    monthly_facts = sorted(monthly_facts, key=attrgetter("key"))
+    facts_by_project = {
+        project: list(months)
+        for project, months in groupby(monthly_facts, key=attrgetter("key.project"))
+    }
 
     collected = sorted(set(meta_by_name) | set(facts_by_project))
 
     rule1 = {
         project
         for project in collected
-        if project not in meta_by_name or not facts_by_project.get(project)
+        if project not in meta_by_name or project not in facts_by_project
     }
     rule2 = {
         project
@@ -131,21 +138,18 @@ def validate_dataset(
         if project not in rule1 and not check_svn_enlistments(meta_by_name[project])[0]
     }
     remaining = [p for p in collected if p not in rule1 and p not in rule2]
-    months_before_rule3 = sum(len(facts_by_project.get(p, ())) for p in remaining)
+    months_before_rule3 = sum(len(facts_by_project[p]) for p in remaining)
 
     kept: list[MonthlyFacts] = []
     negative = 0
     for project in remaining:
-        for fact in facts_by_project.get(project, ()):
+        for fact in facts_by_project[project]:
             if fact.loc < 0:
                 negative += 1
             else:
                 kept.append(fact)
 
-    survivors = sorted(
-        (fact for fact in kept if fact.key.year <= cutoff_year),
-        key=lambda fact: fact.key,
-    )
+    survivors = [fact for fact in kept if fact.key.year <= cutoff_year]
     after = AfterCutoff(
         projects=len({fact.key.project for fact in survivors}),
         months=len(survivors),

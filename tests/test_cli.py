@@ -93,7 +93,11 @@ class TestCount:
 
     def test_bad_registry_is_io_error(self, tmp_path, capsys):
         registry = tmp_path / "registry.json"
-        for document in ("{broken", '{"languages": 5}'):
+        for document in (
+            "{broken",
+            '{"languages": 5}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": [" #"]}]}',
+        ):
             registry.write_text(document, encoding="utf-8")
             assert (
                 main(["count", "--root", str(SLOC_DIR), "--registry", str(registry)])
@@ -142,10 +146,13 @@ class TestAnalyze:
     @pytest.mark.parametrize("name", ["metadata.jsonl", "facts.csv"])
     def test_non_utf8_input_is_io_error(self, tmp_path, capsys, name):
         copy_corpus(tmp_path)
+        bad_line = len((tmp_path / name).read_bytes().splitlines()) + 1
         with (tmp_path / name).open("ab") as handle:
             handle.write(b"caf\xe9\n")
         assert main(analyze_args(tmp_path)) == EXIT_IO
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{tmp_path / name}:{bad_line}: not UTF-8 text" in err
+        assert "Traceback" not in err
 
     def test_oversized_csv_field_is_io_error_with_line(self, tmp_path, capsys):
         copy_corpus(tmp_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -162,6 +163,23 @@ class TestReadFacts:
         _, activity, report = read_facts(path)
         assert activity == [] and report.malformed_records == 1
 
+    @pytest.mark.parametrize(
+        "row,reason",
+        [
+            (",2012,1,1,1,1,1,1,1,1", "empty project name"),
+            ("p,1949,1,1,1,1,1,1,1,1", "year 1949 precedes 1950"),
+            ("p,2012,0,1,1,1,1,1,1,1", "month 0 outside 1..12"),
+            ("p,2012,13,1,1,,,,,", "month 13 outside 1..12"),
+            ("p,x,1,1,1,1,1,1,1,1", "year and month must be integers"),
+            ("p,2012,1,1,1,1,1,-2,0,0", "loc_removed must be >= 0, got -2"),
+        ],
+    )
+    def test_malformed_reason_is_exact(self, tmp_path, row, reason):
+        path = tmp_path / "facts.csv"
+        write_lines(path, HEADER, row)
+        _, _, report = read_facts(path)
+        assert [(m.line, m.reason) for m in report.malformed] == [(2, reason)]
+
     def test_records_read_identity(self, tmp_path):
         path = tmp_path / "facts.csv"
         write_lines(
@@ -187,6 +205,28 @@ class TestReadFacts:
         path.write_text("", encoding="utf-8")
         with pytest.raises(IngestError):
             read_facts(path)
+
+
+@pytest.mark.parametrize(
+    "reader,first,line",
+    [
+        (read_metadata, None, '{{"name": "p{}"}}'),
+        (read_facts, HEADER, "p{},2012,1,1,1,1,1,1,1,1"),
+    ],
+    ids=["metadata", "facts"],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_non_utf8_error_names_the_line(tmp_path, reader, first, line, newline):
+    # 3,000 lines put the bad byte well past the first decoded chunk.
+    lines = [line.format(i) for i in range(3000)]
+    if first is not None:
+        lines.insert(0, first)
+    data = newline.join(lines).encode("utf-8").split(newline.encode())
+    data.insert(2500, b"caf\xe9")
+    path = tmp_path / "input"
+    path.write_bytes(newline.encode().join(data) + newline.encode())
+    with pytest.raises(IngestError, match=rf"^{re.escape(str(path))}:2501: not UTF-8 text \("):
+        reader(path)
 
 
 class TestRoundTrip:

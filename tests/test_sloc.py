@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from baserates.sloc import (
     physical_lines,
     snapshot_to_size_facts,
 )
-from conftest import SLOC_DIR, SLOC_MANIFEST
+from conftest import SLOC_DIR, SLOC_MANIFEST, child_env
 
 C_LIKE = next(s for s in default_registry() if s.name == "clike")
 HASH = next(s for s in default_registry() if s.name == "hash")
@@ -181,6 +183,30 @@ class TestCountTree:
         assert len(tree.unreadable) == 1 and "broken.c" in tree.unreadable[0]
         assert tree.total == LineCounts(7, 2, 1)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_is_recorded_and_skipped_without_blocking(self, tmp_path):
+        # Opening a FIFO blocks until a writer appears, so the count runs in
+        # a child process that a hang cannot take the test suite down with.
+        root = tmp_path / "tree"
+        root.mkdir()
+        self.build_tree(root)
+        os.mkfifo(root / "pipe.c")
+        result = subprocess.run(
+            [sys.executable, "-m", "baserates", "count", "--root", str(root)],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[1:] == [
+            "main.c,clike,7,2,1",
+            "(total),clike,7,2,1",
+            "(total),(all),7,2,1",
+        ]
+        assert f"{root / 'pipe.c'}: not a regular file" in result.stderr
+
     def test_totals_sum_over_languages_and_subdirs(self, tmp_path):
         (tmp_path / "sub").mkdir()
         (tmp_path / "a.c").write_text("int a;\n// c\n", encoding="utf-8")
@@ -247,6 +273,11 @@ class TestRegistry:
             '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": "#"}]}',
             '{"languages": [{"name": "x", "extensions": [".x"], "string_delimiters": [1]}]}',
             '{"languages": [{"name": "x", "extensions": [".x"], "block_comments": [[5, 6]]}]}',
+            # openers led by whitespace, which the scanner would never open
+            '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": [" #"]}]}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": ["\\t;"]}]}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "block_comments": [[" /*", "*/"]]}]}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "string_delimiters": [" %"]}]}',
         ):
             config.write_text(document, encoding="utf-8")
             with pytest.raises(ValueError, match=re.escape(str(config))):
