@@ -165,9 +165,10 @@ def join_facts(
     size_by_key = index(size, "size")
     activity_by_key = index(activity, "activity")
 
+    # Keys in input order, not hash order: Timsort is near-linear on a sorted CSV.
     joined = [
         MonthlyFacts(*size_by_key[key], *activity_by_key[key][1:])
-        for key in sorted(size_by_key.keys() & activity_by_key.keys())
+        for key in sorted([key for key in size_by_key if key in activity_by_key])
         if key.project not in rejected
     ]
     return joined, diagnostics

@@ -7,12 +7,15 @@ and comment openers inside string literals are inert. Two limitations
 are deliberate: block comments do not nest (the first close delimiter
 ends the comment), and string literals do not span lines.
 
-A line is scanned from one delimiter to the next. Outside comments and
-strings, one regex per syntax finds the next opener, trying line comments,
-block openers and string delimiters in that order; a non-whitespace
-search before it decides whether the line has code. A block comment
-ends at the next closer, a string at the next closer not escaped by a
-backslash (which skips the character after it).
+Each file's text is scanned once by one regex per syntax, whose
+alternatives (line comments, then block openers, then string delimiters)
+each match a whole comment or string; an opener led by whitespace never
+opens, and a backslash in a string skips the next character. Splitting
+the text on that regex masks it: comments drop out, a string keeps its
+opener, and a block comment over several lines keeps the newline that
+ends its first line, so each line not wholly inside a block maps to one
+masked line. A non-blank line is code when its masked line still holds
+non-whitespace. Lines end at ``\\n``; a ``\\r`` before it is whitespace.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import logging
 import os
 import re
 import stat
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -29,6 +33,23 @@ from pathlib import Path
 from .facts import FactKey, SizeRecord
 
 logger = logging.getLogger(__name__)
+
+_NON_BLANK = re.compile(r"\S[^\n]*")
+
+# A possessive repeat (Python 3.11+) keeps no backtracking state per escape;
+# no token fails once its opener matched, so a greedy one matches the same.
+_REPEAT = "*+" if sys.version_info >= (3, 11) else "*"
+
+
+def _run_before(close: str, stops: str, escape: str = "") -> str:
+    """Regex for the text before the next ``close`` or character in ``stops``.
+
+    Plain text goes by in one class repeat; the engine loops only at an
+    ``escape`` (an alternative ending in ``|``) or a false start of ``close``.
+    """
+    first = re.escape(close[0])
+    plain = f"[^{first}{stops}]{_REPEAT}"
+    return f"{plain}(?:(?:{escape}(?!{re.escape(close)}){first}){plain}){_REPEAT}"
 
 
 @dataclass(frozen=True)
@@ -49,21 +70,46 @@ class LanguageSyntax:
             delimiters += [open_delim, close_delim]
         if any(not d for d in delimiters):
             raise ValueError(f"language {self.name!r} has an empty delimiter")
+        # Masking would match one across a line end, as no line-by-line reading can.
+        if any("\n" in d or "\r" in d for d in delimiters):
+            raise ValueError(f"language {self.name!r} has a delimiter with a line break")
+
+    def _reject_whitespace_led_openers(self) -> None:
+        """Raise when an opener starts with whitespace, where no opener is looked for."""
+        openers = [*self.line_comments, *self.string_delimiters]
+        openers += [open_delim for open_delim, _ in self.block_comments]
+        if any(opener[0].isspace() for opener in openers):
+            raise ValueError("a comment or string opener starts with whitespace")
 
     @cached_property
-    def _scanner(self):
-        """Opener regex in priority order, each opener's kind and closer, and ``\\S``."""
-        starts: dict[str, tuple[str, object]] = {}
-        for opener in self.line_comments:
-            starts.setdefault(opener, ("line", None))
-        for opener, close in self.block_comments:
-            starts.setdefault(opener, ("block", close))
-        for opener in self.string_delimiters:
-            starts.setdefault(opener, ("string", re.compile(r"\\|" + re.escape(opener))))
+    def _tokens(self) -> re.Pattern | None:
+        """Comment and string regex whose ``split`` masks a text (see the module doc).
+
+        Alternatives start with their opener's literal, so ``re`` skips ahead
+        to the next possible opener; an opener listed twice keeps its first kind.
+        """
+        def block(close: str) -> str:
+            end = re.escape(close)
+            same_line, rest = _run_before(close, r"\n"), _run_before(close, "")
+            return rf"{same_line}(?:{end}|(\n)?{rest}(?:{end})?)"
+
+        def string(opener: str) -> str:
+            end = re.escape(opener)
+            # A backslash skips the next character on its line, so a closer
+            # led by a backslash never closes.
+            body = _run_before(opener, r"\\\n", escape=r"\\[^\n]?|")
+            return rf"(?<=({end})){body}(?:{end})?"
+
+        bodies = [
+            *((opener, r"[^\n]*") for opener in self.line_comments),
+            *((opener, block(close)) for opener, close in self.block_comments),
+            *((opener, string(opener)) for opener in self.string_delimiters),
+        ]
         # Openers are tried only at non-whitespace, so one led by whitespace never opens.
-        alternatives = [re.escape(o) for o in starts if not o[0].isspace()]
-        openers = re.compile("|".join(alternatives)) if alternatives else None
-        return openers, starts, re.compile(r"\S")
+        alternatives = [
+            re.escape(opener) + body for opener, body in bodies if not opener[0].isspace()
+        ]
+        return re.compile("|".join(alternatives)) if alternatives else None
 
 
 @dataclass(frozen=True)
@@ -93,68 +139,19 @@ class FileCount:
     counts: LineCounts
 
 
-def physical_lines(text: str) -> list[str]:
-    """Split text into physical lines; a final unterminated line still counts."""
-    if not text:
-        return []
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return [line[:-1] if line.endswith("\r") else line for line in lines]
-
-
 def classify_lines(text: str, syntax: LanguageSyntax) -> LineCounts:
     """Count code, comment, and blank lines of ``text`` under ``syntax``.
 
     The three counts always sum to the number of physical lines.
     """
-    code = comment = blank = 0
-    block_close: str | None = None
-    for line in physical_lines(text):
-        if not line.strip():
-            blank += 1
-            continue
-        has_code, block_close = _scan_line(line, syntax, block_close)
-        if has_code:
-            code += 1
-        else:
-            comment += 1
-    return LineCounts(code, comment, blank)
-
-
-def _scan_line(
-    line: str, syntax: LanguageSyntax, block_close: str | None
-) -> tuple[bool, str | None]:
-    """Whether a non-blank line holds code, and the block closer still open after it."""
-    openers, starts, non_space = syntax._scanner
-    has_code = False
-    pos = 0
-    while True:
-        if block_close is not None:
-            end = line.find(block_close, pos)
-            if end == -1:
-                return has_code, block_close
-            pos = end + len(block_close)
-            block_close = None
-        match = openers.search(line, pos) if openers else None
-        stop = match.start() if match else len(line)
-        has_code = has_code or non_space.search(line, pos, stop) is not None
-        if match is None:
-            return has_code, None
-        kind, close = starts[match.group()]
-        if kind == "line":
-            return has_code, None
-        pos = match.end()
-        if kind == "block":
-            block_close = close
-            continue
-        has_code = True
-        # ``close`` finds a backslash, which skips the next character, or the closer.
-        while (found := close.search(line, pos)) is not None and found.group() == "\\":
-            pos = found.start() + 2
-        if found is None:
-            return True, None
-        pos = found.end()
+    physical = text.count("\n")
+    if text and not text.endswith("\n"):
+        physical += 1
+    non_blank = len(_NON_BLANK.findall(text))
+    tokens = syntax._tokens
+    masked = "".join(filter(None, tokens.split(text))) if tokens else text
+    code = len(_NON_BLANK.findall(masked))
+    return LineCounts(code, non_blank - code, physical - non_blank)
 
 
 def default_registry() -> list[LanguageSyntax]:
@@ -201,7 +198,7 @@ def load_registry(path) -> list[LanguageSyntax]:
     "line_comments": [...], "block_comments": [[open, close], ...],
     "string_delimiters": [...]}]}, every list holding strings. Line
     comments, block openers and string delimiters must not start with
-    whitespace.
+    whitespace, and no delimiter may hold a line break.
     """
     with Path(path).open(encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -222,8 +219,7 @@ def load_registry(path) -> list[LanguageSyntax]:
                 ),
                 string_delimiters=_strings(raw.get("string_delimiters", [])),
             )
-            if any(opener[0].isspace() for opener in syntax._scanner[1]):
-                raise ValueError("a comment or string opener starts with whitespace")
+            syntax._reject_whitespace_led_openers()
             languages.append(syntax)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad registry entry {raw!r}: {exc}") from exc
@@ -246,11 +242,14 @@ def extension_map(registry) -> dict[str, LanguageSyntax]:
 
 
 def count_file(path, syntax: LanguageSyntax) -> FileCount:
-    """Classify one file; invalid UTF-8 bytes become replacement characters."""
+    """Classify one regular file (else ``OSError``); invalid UTF-8 becomes U+FFFD."""
     return FileCount(str(path), syntax.name, _read_and_classify(path, syntax))
 
 
 def _read_and_classify(path, syntax: LanguageSyntax) -> LineCounts:
+    # Opening a FIFO or a device can block, so only regular files are read.
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(0, "not a regular file")
     data = Path(path).read_bytes()
     return classify_lines(data.decode("utf-8", errors="replace"), syntax)
 
@@ -287,9 +286,6 @@ def count_tree(root, registry) -> TreeCount:
                 result.skipped += 1
                 continue
             try:
-                # Opening a FIFO or a device can block, so only regular files are read.
-                if not stat.S_ISREG(path.stat().st_mode):
-                    raise OSError(0, "not a regular file")
                 counts = _read_and_classify(path, syntax)
             except OSError as exc:
                 message = f"{path}: {exc.strerror or exc}"

@@ -97,6 +97,7 @@ class TestCount:
             "{broken",
             '{"languages": 5}',
             '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": [" #"]}]}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": ["#\\n"]}]}',
         ):
             registry.write_text(document, encoding="utf-8")
             assert (

@@ -4,7 +4,9 @@
 works out, from its own model of the data, what ingest, the join and the
 validation table must report. Small versions of the two benchmark shapes
 are checked here, so the accounting is tested on inputs with every kind
-of defect, not only on the hand-made corpus.
+of defect, not only on the hand-made corpus. The same goes for ``count``
+on a generated source tree, whose line kinds the generator records as it
+writes each line.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 from baserates.facts import join_facts
 from baserates.ingest import read_facts, read_metadata
 from baserates.metrics import GROWTHLESS_POLICIES, aggregate_all
+from baserates.sloc import count_tree, default_registry
 from baserates.validate import validate_dataset
 from conftest import load_corpus
 
@@ -77,3 +80,25 @@ def test_results_do_not_depend_on_input_order(gen, tmp_path, source, seed):
     assert validate_dataset(metas, shuffled(monthly), 2012) == (survivors, report)
     for policy in GROWTHLESS_POLICIES:
         assert aggregate_all(shuffled(survivors), policy) == aggregate_all(survivors, policy)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_count_matches_generator_ground_truth(gen, tmp_path, seed):
+    sidecar = gen.write_source_tree(tmp_path, seed, 200_000)
+    tree = count_tree(tmp_path, default_registry())
+
+    assert tree.unreadable == [] and tree.skipped == sidecar["skipped"]
+    assert {
+        fc.path: {
+            "language": fc.language,
+            "code": fc.counts.code,
+            "comment": fc.counts.comment,
+            "blank": fc.counts.blank,
+        }
+        for fc in tree.files
+    } == sidecar["files"]
+    assert {
+        name: [counts.code, counts.comment, counts.blank]
+        for name, counts in tree.by_language.items()
+    } == sidecar["by_language"]
+    assert [tree.total.code, tree.total.comment, tree.total.blank] == sidecar["total"]

@@ -23,10 +23,10 @@ from baserates.sloc import (
     default_registry,
     extension_map,
     load_registry,
-    physical_lines,
     snapshot_to_size_facts,
 )
 from conftest import SLOC_DIR, SLOC_MANIFEST, child_env
+from test_sloc_oracle import physical_lines
 
 C_LIKE = next(s for s in default_registry() if s.name == "clike")
 HASH = next(s for s in default_registry() if s.name == "hash")
@@ -230,6 +230,29 @@ class TestRegistry:
         fc = count_file(path, HASH)
         assert fc.language == "hash" and fc.counts.code == 1
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_count_file_refuses_a_fifo_without_blocking(self, tmp_path):
+        # Opening a FIFO blocks until a writer appears, so the call runs in a
+        # child process that a hang cannot take the test suite down with.
+        os.mkfifo(tmp_path / "pipe.c")
+        script = (
+            "import sys\n"
+            "from baserates.sloc import count_file, default_registry\n"
+            "try:\n"
+            "    count_file(sys.argv[1], default_registry()[0])\n"
+            "except OSError as exc:\n"
+            "    print(exc.strerror)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "pipe.c")],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "not a regular file\n"
+
     def test_extension_lookup_is_case_insensitive(self, tmp_path):
         (tmp_path / "UPPER.C").write_text("int x;\n", encoding="utf-8")
         tree = count_tree(tmp_path, default_registry())
@@ -278,6 +301,10 @@ class TestRegistry:
             '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": ["\\t;"]}]}',
             '{"languages": [{"name": "x", "extensions": [".x"], "block_comments": [[" /*", "*/"]]}]}',
             '{"languages": [{"name": "x", "extensions": [".x"], "string_delimiters": [" %"]}]}',
+            # delimiters holding a line break, which a line never contains
+            '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": ["#\\n"]}]}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "string_delimiters": ["\\r\\""]}]}',
+            '{"languages": [{"name": "x", "extensions": [".x"], "block_comments": [["/*", "*\\n/"]]}]}',
         ):
             config.write_text(document, encoding="utf-8")
             with pytest.raises(ValueError, match=re.escape(str(config))):
@@ -288,6 +315,20 @@ class TestRegistry:
             LanguageSyntax("bad", ())
         with pytest.raises(ValueError):
             LanguageSyntax("bad", (".x",), line_comments=("",))
+
+    @pytest.mark.parametrize(
+        "delimiters",
+        [
+            {"line_comments": ("#\n",)},
+            {"line_comments": ("\r#",)},
+            {"block_comments": (("/*", "*\r\n/"),)},
+            {"block_comments": (("\n/*", "*/"),)},
+            {"string_delimiters": ('"', "\r")},
+        ],
+    )
+    def test_language_syntax_rejects_line_break_delimiters(self, delimiters):
+        with pytest.raises(ValueError, match="line break"):
+            LanguageSyntax("bad", (".x",), **delimiters)
 
 
 class TestSnapshots:

@@ -1,29 +1,23 @@
 """Differential tests of the line classifier against the per-character loop.
 
 ``_classify_line`` and ``_match_at`` below are the classifier the package
-used before it scanned from one delimiter to the next. They step through
-a line one character at a time and serve here as the oracle: the scanner
-must give the same kind and the same open block-comment closer for every
-line, and so the same counts, on generated and on real text.
+used before it masked whole texts. They step through a line one
+character at a time and serve here as the oracle: the classifier must
+give the same kind for every line, and so the same counts, on generated
+and on real text.
 """
 
 from __future__ import annotations
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baserates.sloc import (
-    LanguageSyntax,
-    LineCounts,
-    _scan_line,
-    classify_lines,
-    default_registry,
-    physical_lines,
-)
+from baserates.sloc import LanguageSyntax, LineCounts, classify_lines, default_registry
 from conftest import SLOC_DIR
 
 REPO = Path(__file__).resolve().parent.parent
@@ -65,6 +59,16 @@ def text_for(syntax: LanguageSyntax):
     own = delimiters(syntax) or ALL_DELIMITERS
     tokens = 4 * own + ["\\" + d for d in own] + FILLER
     return st.lists(st.sampled_from(tokens), max_size=120).map("".join)
+
+
+def physical_lines(text: str) -> list[str]:
+    """Split text into physical lines; a final unterminated line still counts."""
+    if not text:
+        return []
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def _match_at(line: str, pos: int, candidates) -> str | None:
@@ -144,17 +148,25 @@ def oracle_counts(text: str, syntax: LanguageSyntax) -> LineCounts:
 
 
 def assert_matches_oracle(text: str, syntax: LanguageSyntax) -> None:
-    """Same kind and carried block closer per line, and the same counts."""
-    oracle_close = scan_close = None
-    for number, line in enumerate(physical_lines(text), start=1):
-        expected = _classify_line(line, syntax, oracle_close)
-        oracle_close = expected[1]
-        if line.strip():
-            has_code, scan_close = _scan_line(line, syntax, scan_close)
-            got = ("code" if has_code else "comment", scan_close)
-        else:
-            got = ("blank", scan_close)
-        assert got == expected, (syntax.name, number, line)
+    """Same kind per line, and the same counts.
+
+    Classification only flows forward, so a line's kind is what it adds to
+    the counts of the text that ends with it over the text before it.
+    """
+    kinds = {(1, 0, 0): "code", (0, 1, 0): "comment", (0, 0, 1): "blank"}
+    oracle_close = None
+    before = LineCounts()
+    ends = [m.end() for m in re.finditer(r"[^\n]*\n|[^\n]+", text)]
+    for number, (line, end) in enumerate(zip(physical_lines(text), ends, strict=True), 1):
+        expected, oracle_close = _classify_line(line, syntax, oracle_close)
+        after = classify_lines(text[:end], syntax)
+        added = (
+            after.code - before.code,
+            after.comment - before.comment,
+            after.blank - before.blank,
+        )
+        assert kinds.get(added) == expected, (syntax.name, number, line)
+        before = after
     assert classify_lines(text, syntax) == oracle_counts(text, syntax)
 
 
@@ -175,6 +187,11 @@ def test_generated_text_matches_oracle(syntax, data):
         ("\\q ab \\q (*\nx *)\n", (2, 0, 0)),  # `\q` cannot close itself
         ("--[[ a\nb ]]\n", (1, 1, 0)),  # line comment `--` wins over block `--[[`
         ("(* a\n\n *) b\n", (1, 1, 1)),
+        ('"a\rb" (*\n*)\n', (1, 1, 0)),  # a lone `\r` does not end the line or the string
+        ('"a\\\r\n(* b *)\r\n', (1, 1, 0)),  # `\` before CRLF cannot carry the string on
+        ('"a\\\nb (* c *)\n', (2, 0, 0)),  # nor can `\` before LF
+        ("x (* a\n  \nb", (1, 1, 1)),  # a block left open at the end of unterminated text
+        ("(* a\nb *) {- c\nd -} x\n", (1, 2, 0)),  # one block closes, the next opens
     ],
 )
 def test_adversarial_examples(text, expected):
