@@ -11,8 +11,6 @@ from .facts import (
     ActivityRecord,
     Enlistment,
     FactKey,
-    MonthlyFacts,
-    MonthlyGrowth,
     ProjectMeta,
     SizeRecord,
     YearlyAggregate,
@@ -24,8 +22,6 @@ from .metrics import (
     GROWTHLESS_UNDEFINED,
     GROWTHLESS_ZERO,
     aggregate_all,
-    aggregate_years,
-    derive_monthly_growth,
     write_aggregates_csv,
 )
 from .report import Report, build_report, render_boxplot_svg, render_json, render_text
@@ -76,8 +72,6 @@ __all__ = [
     "LineCounts",
     "Metric",
     "MetricSummary",
-    "MonthlyFacts",
-    "MonthlyGrowth",
     "Observation",
     "ProjectMeta",
     "Report",
@@ -87,7 +81,6 @@ __all__ = [
     "ValidationReport",
     "YearlyAggregate",
     "aggregate_all",
-    "aggregate_years",
     "base_rate_posterior",
     "boxplot_data",
     "build_report",
@@ -96,7 +89,6 @@ __all__ = [
     "count_file",
     "count_tree",
     "default_registry",
-    "derive_monthly_growth",
     "join_facts",
     "load_registry",
     "quantile",

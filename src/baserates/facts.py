@@ -101,27 +101,6 @@ class ActivityRecord(_ActivityRecord):
         return tuple.__new__(cls, (key, *counts))
 
 
-class MonthlyFacts(NamedTuple):
-    """Size and activity facts joined for one project-month."""
-
-    key: FactKey
-    loc: int
-    comments: int
-    blanks: int
-    loc_added: int
-    loc_removed: int
-    commits: int
-    contributors: int
-
-
-class MonthlyGrowth(NamedTuple):
-    """Month-over-month change; indexed_growth is None when the previous month had zero lines."""
-
-    key: FactKey
-    abs_growth: int
-    indexed_growth: float | None
-
-
 @dataclass(frozen=True)
 class YearlyAggregate:
     """Per project-year metrics; cga/cgi are None for years without growth evidence."""
@@ -137,14 +116,16 @@ class YearlyAggregate:
 
 def join_facts(
     size: Iterable[SizeRecord], activity: Iterable[ActivityRecord]
-) -> tuple[list[MonthlyFacts], list[str]]:
-    """Inner-join size and activity records on their keys.
+) -> tuple[list[SizeRecord], list[str]]:
+    """Keep the size records of the months that also have an activity record.
 
-    Months present in only one input are dropped. A duplicate key within
-    either input rejects that whole project; one diagnostic per duplicate,
-    in input order, is returned alongside the joined facts. The inputs may
-    come in any order; the joined facts come back sorted by key, that is
-    by (project, year, month).
+    Every metric reads only the size half, so the activity half is
+    consulted for its keys alone. Months present in only one input are
+    dropped. A duplicate key within either input rejects that whole
+    project; one diagnostic per duplicate, in input order, is returned
+    alongside the joined records. The inputs may come in any order; the
+    size records come back sorted by key, that is by (project, year,
+    month).
     """
     rejected: set[str] = set()
     diagnostics: list[str] = []
@@ -167,7 +148,7 @@ def join_facts(
 
     # Keys in input order, not hash order: Timsort is near-linear on a sorted CSV.
     joined = [
-        MonthlyFacts(*size_by_key[key], *activity_by_key[key][1:])
+        size_by_key[key]
         for key in sorted([key for key in size_by_key if key in activity_by_key])
         if key.project not in rejected
     ]

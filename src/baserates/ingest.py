@@ -105,7 +105,7 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         return None, "missing or empty project name"
-    raw_enlistments = doc.get("enlistments") or []
+    raw_enlistments = [] if doc.get("enlistments") is None else doc["enlistments"]
     if not isinstance(raw_enlistments, list):
         return None, "enlistments must be a list"
     enlistments = []
@@ -117,7 +117,7 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
         ):
             return None, "enlistment lacks a type or url string"
         enlistments.append(Enlistment(raw["type"], raw["url"]))
-    tags = doc.get("tags") or []
+    tags = [] if doc.get("tags") is None else doc["tags"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         return None, "tags must be a list of strings"
     return ProjectMeta(name, tuple(enlistments), tuple(tags)), None

@@ -1,8 +1,8 @@
-"""Derivation of monthly growth and yearly aggregates from surviving facts.
+"""Yearly code-size and code-growth aggregates from surviving size records.
 
 Growth exists only between consecutive calendar months; a gap breaks the
 chain rather than spanning it, so a missing month never lumps several
-months of change into one record.
+months of change into one year's growth.
 """
 
 from __future__ import annotations
@@ -10,13 +10,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from collections import defaultdict
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .facts import MonthlyFacts, MonthlyGrowth, YearlyAggregate, previous_month
+from .facts import SizeRecord, YearlyAggregate, previous_month
 
 logger = logging.getLogger(__name__)
 
@@ -31,37 +30,6 @@ _LOG_SPACE_THRESHOLD = 6
 AGGREGATES_HEADER = ["project", "year", "cs", "cga", "cgi", "age", "months_present"]
 
 
-def derive_monthly_growth(facts: Sequence[MonthlyFacts]) -> list[MonthlyGrowth]:
-    """Growth records for months whose previous calendar month is present.
-
-    ``facts`` must belong to a single project and carry unique keys. The
-    absolute growth is the line difference to the previous month; the
-    indexed growth is the ratio, left undefined (None) when the previous
-    month had zero lines.
-    """
-    if not facts:
-        return []
-    if len({fact.key.project for fact in facts}) > 1:
-        raise ValueError("derive_monthly_growth expects facts of a single project")
-    by_month: dict[tuple[int, int], MonthlyFacts] = {}
-    for fact in facts:
-        month_key = (fact.key.year, fact.key.month)
-        if month_key in by_month:
-            raise ValueError(
-                f"duplicate month {month_key} for project {fact.key.project!r}"
-            )
-        by_month[month_key] = fact
-
-    growth: list[MonthlyGrowth] = []
-    for fact in facts:
-        prev = by_month.get(previous_month(fact.key.year, fact.key.month))
-        if prev is None:
-            continue
-        ratio = fact.loc / prev.loc if prev.loc != 0 else None
-        growth.append(MonthlyGrowth(fact.key, fact.loc - prev.loc, ratio))
-    return growth
-
-
 def _product(factors: Sequence[float]) -> float:
     if any(factor == 0 for factor in factors):
         return 0.0
@@ -73,45 +41,49 @@ def _product(factors: Sequence[float]) -> float:
     return result
 
 
-def aggregate_years(
-    facts: Sequence[MonthlyFacts],
-    growth: Sequence[MonthlyGrowth],
-    policy: str = GROWTHLESS_UNDEFINED,
+def aggregate_all(
+    facts: Iterable[SizeRecord], policy: str = GROWTHLESS_UNDEFINED
 ) -> list[YearlyAggregate]:
-    """Aggregate one project's facts into per-year metrics.
+    """Aggregate every project's monthly sizes into per-year metrics.
 
-    Per year: cs is the maximum monthly line count, cga the sum of the
-    defined monthly absolute growth values, cgi the product of the
-    defined monthly ratios, and age the distance to the minimum year
-    present.
+    A month grows from the previous calendar month of its project when
+    that month is present: by the line difference, and by the line ratio
+    unless the previous month had zero lines. Per project-year, cs is the
+    maximum monthly line count, cga the sum of the growth differences,
+    cgi the product of the defined ratios in month order, and age the
+    distance to the project's first year.
 
     Years without any growth month distinguish "no evidence" from "no
     change": under the "undefined" policy cga and cgi are None, under
     the "zero" policy they take the identity elements 0 and 1.0.
+
+    The facts may come in any order but a repeated project-month raises
+    ValueError; the aggregates come back sorted by (project, year).
     """
     if policy not in GROWTHLESS_POLICIES:
         raise ValueError(f"unknown growthless-year policy {policy!r}")
-    if not facts:
-        return []
-    projects = {fact.key.project for fact in facts}
-    if len(projects) > 1:
-        raise ValueError("aggregate_years expects facts of a single project")
-    project = projects.pop()
-
-    start_year = min(fact.key.year for fact in facts)
-    facts_by_year: dict[int, list[MonthlyFacts]] = defaultdict(list)
-    for fact in facts:
-        facts_by_year[fact.key.year].append(fact)
-    growth_by_year: dict[int, list[MonthlyGrowth]] = defaultdict(list)
-    for record in growth:
-        growth_by_year[record.key.year].append(record)
-
+    no_cga, no_cgi = (0, 1.0) if policy == GROWTHLESS_ZERO else (None, None)
     aggregates: list[YearlyAggregate] = []
-    for year in sorted(facts_by_year):
-        months = facts_by_year[year]
-        year_growth = growth_by_year.get(year, [])
-        ratios = [g.indexed_growth for g in year_growth if g.indexed_growth is not None]
-        omitted = len(year_growth) - len(ratios)
+    prev_key, prev_loc = None, 0
+    facts = sorted(facts, key=attrgetter("key"))
+    for (project, year), months in groupby(facts, key=lambda fact: fact.key[:2]):
+        if prev_key is None or prev_key.project != project:
+            start_year = year
+        cs = cga = present = growth_months = 0
+        ratios: list[float] = []
+        for fact in months:
+            key, loc = fact.key, fact.loc
+            if key == prev_key:
+                raise ValueError(f"duplicate month {key[1:]} for project {project!r}")
+            if prev_key == (project, *previous_month(year, key.month)):
+                growth_months += 1
+                cga += loc - prev_loc
+                if prev_loc != 0:
+                    ratios.append(loc / prev_loc)
+            cs = max(cs, loc) if present else loc
+            present += 1
+            prev_key, prev_loc = key, loc
+        omitted = growth_months - len(ratios)
         if omitted:
             logger.debug(
                 "%s %d: %d undefined monthly ratio(s) omitted from the growth index",
@@ -119,42 +91,17 @@ def aggregate_years(
                 year,
                 omitted,
             )
-        if year_growth:
-            cga = sum(g.abs_growth for g in year_growth)
-        else:
-            cga = 0 if policy == GROWTHLESS_ZERO else None
-        if ratios:
-            cgi: float | None = _product(ratios)
-        else:
-            cgi = 1.0 if policy == GROWTHLESS_ZERO else None
         aggregates.append(
             YearlyAggregate(
                 project=project,
                 year=year,
-                cs=max(fact.loc for fact in months),
-                cga=cga,
-                cgi=cgi,
+                cs=cs,
+                cga=cga if growth_months else no_cga,
+                cgi=_product(ratios) if ratios else no_cgi,
                 age=year - start_year,
-                months_present=len(months),
+                months_present=present,
             )
         )
-    return aggregates
-
-
-def aggregate_all(
-    facts: Iterable[MonthlyFacts], policy: str = GROWTHLESS_UNDEFINED
-) -> list[YearlyAggregate]:
-    """Derive growth and aggregate every project.
-
-    The facts may come in any order; the aggregates come back sorted by
-    (project, year).
-    """
-    aggregates: list[YearlyAggregate] = []
-    facts = sorted(facts, key=attrgetter("key"))
-    for _, months in groupby(facts, key=attrgetter("key.project")):
-        project_facts = list(months)
-        growth = derive_monthly_growth(project_facts)
-        aggregates.extend(aggregate_years(project_facts, growth, policy))
     return aggregates
 
 

@@ -15,7 +15,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable
 
-from .facts import MonthlyFacts, ProjectMeta
+from .facts import ProjectMeta, SizeRecord
 
 logger = logging.getLogger(__name__)
 
@@ -98,10 +98,13 @@ def table_rows(report: ValidationReport) -> list[tuple[str, int]]:
 
 def validate_dataset(
     metas: Iterable[ProjectMeta],
-    monthly_facts: Iterable[MonthlyFacts],
+    monthly_facts: Iterable[SizeRecord],
     cutoff_year: int,
-) -> tuple[list[MonthlyFacts], ValidationReport]:
+) -> tuple[list[SizeRecord], ValidationReport]:
     """Apply the exclusion rules in order and account for every record.
+
+    ``monthly_facts`` are the size records of the joined months, as
+    ``join_facts`` returns them; only their key and loc are read.
 
     Rule 1 drops projects without usable joined months: missing size
     facts, missing activity facts, a join that came up empty, or facts
@@ -140,7 +143,7 @@ def validate_dataset(
     remaining = [p for p in collected if p not in rule1 and p not in rule2]
     months_before_rule3 = sum(len(facts_by_project[p]) for p in remaining)
 
-    kept: list[MonthlyFacts] = []
+    kept: list[SizeRecord] = []
     negative = 0
     for project in remaining:
         for fact in facts_by_project[project]:

@@ -6,7 +6,7 @@ import os
 from pathlib import Path
 
 import baserates
-from baserates.facts import FactKey, MonthlyFacts
+from baserates.facts import FactKey, SizeRecord
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -47,7 +47,7 @@ SLOC_MANIFEST = {
 
 
 def load_corpus():
-    """Metadata and joined monthly facts of the committed 10-project corpus."""
+    """Metadata and the joined months' size records of the committed 10-project corpus."""
     from baserates.facts import join_facts
     from baserates.ingest import read_facts, read_metadata
 
@@ -59,31 +59,13 @@ def load_corpus():
 
 
 def make_month(
-    project: str,
-    year: int,
-    month: int,
-    loc: int,
-    comments: int = 0,
-    blanks: int = 0,
-    loc_added: int = 0,
-    loc_removed: int = 0,
-    commits: int = 0,
-    contributors: int = 0,
-) -> MonthlyFacts:
-    return MonthlyFacts(
-        FactKey(project, year, month),
-        loc,
-        comments,
-        blanks,
-        loc_added,
-        loc_removed,
-        commits,
-        contributors,
-    )
+    project: str, year: int, month: int, loc: int, comments: int = 0, blanks: int = 0
+) -> SizeRecord:
+    return SizeRecord(FactKey(project, year, month), loc, comments, blanks)
 
 
 def month_run(project: str, year: int, locs, start_month: int = 1):
-    """MonthlyFacts for consecutive months of one year with the given loc values."""
+    """SizeRecords for consecutive months of one year with the given loc values."""
     return [
         make_month(project, year, start_month + offset, loc)
         for offset, loc in enumerate(locs)

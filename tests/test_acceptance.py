@@ -18,7 +18,7 @@ import pytest
 
 from baserates.cli import EXIT_OK, run_analyze
 from baserates.facts import Enlistment, ProjectMeta
-from baserates.metrics import aggregate_years, derive_monthly_growth
+from baserates.metrics import aggregate_all
 from baserates.sloc import classify_lines, default_registry, extension_map
 from baserates.stats import (
     Metric,
@@ -55,8 +55,7 @@ def test_telescoping_properties_on_complete_years():
             locs = [rng.randint(1, 10_000_000) for _ in range(13)]
             facts = [make_month("p", 2011, 12, locs[0])]
             facts += [make_month("p", 2012, m, locs[m]) for m in range(1, 13)]
-            growth = derive_monthly_growth(facts)
-            by_year = {a.year: a for a in aggregate_years(facts, growth)}
+            by_year = {a.year: a for a in aggregate_all(facts)}
             assert by_year[2012].cga == locs[12] - locs[0]
             expected_ratio = locs[12] / locs[0]
             assert math.isclose(by_year[2012].cgi, expected_ratio, rel_tol=1e-9)

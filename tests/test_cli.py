@@ -269,6 +269,27 @@ class TestAnalyze:
         assert repr(key) in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["{}", "0", '""', "false"])
+    @pytest.mark.parametrize("key", ["enlistments", "tags"])
+    def test_falsy_non_list_metadata_is_malformed(self, tmp_path, caplog, key, value):
+        # golf fails the SVN screen; read as empty, its enlistments would pass it.
+        copy_corpus(tmp_path)
+        meta_path = tmp_path / "metadata.jsonl"
+        lines = meta_path.read_text(encoding="utf-8").splitlines()
+        lineno = next(n for n, line in enumerate(lines, 1) if '"golf"' in line)
+        lines[lineno - 1] = f'{{"name": "golf", "{key}": {value}}}'
+        meta_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="baserates.cli"):
+            assert main(analyze_args(tmp_path)) == EXIT_OK
+        assert any(
+            message.startswith(f"{meta_path}:{lineno}: {key} must be a list")
+            for message in caplog.messages
+        )
+        doc = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert doc["validation"]["excluded_svn_config"] == 0
+        assert doc["validation"]["excluded_missing_data"] == 3
+        assert doc["validation"]["projects_remaining"] == 7
+
     def test_aggregates_csv_matches_survivors(self, tmp_path):
         copy_corpus(tmp_path)
         assert main(analyze_args(tmp_path)) == EXIT_OK

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from baserates.facts import ActivityRecord, FactKey, SizeRecord
+from baserates.facts import ActivityRecord, FactKey, ProjectMeta, SizeRecord
 from baserates.ingest import (
     FACTS_HEADER,
     IngestError,
@@ -79,8 +79,21 @@ class TestReadMetadata:
         [
             '{"name": "p", "enlistments": [{"type": "GitRepository"}]}',
             '{"name": "p", "enlistments": 5}',
+            *(
+                f'{{"name": "p", "{key}": {value}}}'
+                for key in ("enlistments", "tags")
+                for value in ("{}", "0", '""', "false")
+            ),
         ],
-        ids=["no-url", "enlistments-not-a-list"],
+        ids=[
+            "no-url",
+            "enlistments-not-a-list",
+            *(
+                f"{key}-{value}"
+                for key in ("enlistments", "tags")
+                for value in ("empty-object", "zero", "empty-string", "false")
+            ),
+        ],
     )
     def test_enlistment_without_url_is_malformed(self, tmp_path, record):
         path = tmp_path / "meta.jsonl"
@@ -88,6 +101,12 @@ class TestReadMetadata:
         metas, report = read_metadata(path)
         assert [m.name for m in metas] == ["ok"] and report.malformed_records == 1
         assert (report.malformed[0].file, report.malformed[0].line) == (str(path), 2)
+
+    def test_null_lists_read_as_empty(self, tmp_path):
+        path = tmp_path / "meta.jsonl"
+        write_lines(path, '{"name": "p", "enlistments": null, "tags": null}')
+        metas, report = read_metadata(path)
+        assert metas == [ProjectMeta("p")] and report.malformed_records == 0
 
     def test_blank_lines_are_not_records(self, tmp_path):
         path = tmp_path / "meta.jsonl"

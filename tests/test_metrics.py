@@ -1,4 +1,4 @@
-"""Growth derivation and yearly aggregation, including the telescoping laws."""
+"""Yearly aggregation of monthly sizes, including growth and the telescoping laws."""
 
 from __future__ import annotations
 
@@ -10,73 +10,75 @@ from baserates.metrics import (
     GROWTHLESS_UNDEFINED,
     GROWTHLESS_ZERO,
     aggregate_all,
-    aggregate_years,
-    derive_monthly_growth,
     write_aggregates_csv,
 )
 from conftest import make_month, month_run
 
 
 class TestDeriveMonthlyGrowth:
+    """Month-over-month growth, seen through the yearly cga and cgi."""
+
     def test_consecutive_months(self):
         facts = month_run("p", 2012, [100, 110, 121])
-        growth = derive_monthly_growth(facts)
-        assert [g.abs_growth for g in growth] == [10, 11]
-        assert [g.indexed_growth for g in growth] == [
-            pytest.approx(1.1),
-            pytest.approx(1.1),
-        ]
-        assert [g.key.month for g in growth] == [2, 3]
+        aggregate = aggregate_all(facts)[0]
+        assert aggregate.cga == 10 + 11
+        assert aggregate.cgi == pytest.approx(1.1 * 1.1)
 
     def test_gap_breaks_the_chain(self):
         facts = [make_month("p", 2012, 1, 100), make_month("p", 2012, 3, 130)]
-        assert derive_monthly_growth(facts) == []
+        aggregate = aggregate_all(facts)[0]
+        assert aggregate.cga is None and aggregate.cgi is None
 
     def test_year_boundary_adjacency(self):
         facts = [make_month("p", 2009, 12, 50), make_month("p", 2010, 1, 60)]
-        growth = derive_monthly_growth(facts)
-        assert len(growth) == 1
-        assert growth[0].key == facts[1].key
-        assert growth[0].abs_growth == 10
+        by_year = {a.year: a for a in aggregate_all(facts)}
+        assert by_year[2009].cga is None
+        assert by_year[2010].cga == 10
+        assert by_year[2010].cgi == pytest.approx(1.2)
+
+    def test_project_boundary_breaks_the_chain(self):
+        facts = [make_month("a", 2011, 12, 50), make_month("b", 2012, 1, 60)]
+        by_project = {a.project: a for a in aggregate_all(facts)}
+        assert by_project["b"].year == 2012
+        assert by_project["b"].cga is None and by_project["b"].cgi is None
 
     def test_zero_denominator_leaves_ratio_undefined(self):
         facts = month_run("p", 2012, [0, 40])
-        growth = derive_monthly_growth(facts)
-        assert growth[0].abs_growth == 40
-        assert growth[0].indexed_growth is None
+        aggregate = aggregate_all(facts, policy=GROWTHLESS_ZERO)[0]
+        assert aggregate.cga == 40
+        assert aggregate.cgi == 1.0  # no defined ratio: the policy's identity
 
     def test_empty_input(self):
-        assert derive_monthly_growth([]) == []
-
-    def test_rejects_mixed_projects(self):
-        with pytest.raises(ValueError):
-            derive_monthly_growth(
-                [make_month("p", 2012, 1, 1), make_month("q", 2012, 2, 2)]
-            )
+        assert aggregate_all([]) == []
 
     def test_rejects_duplicate_months(self):
         with pytest.raises(ValueError):
-            derive_monthly_growth(
-                [make_month("p", 2012, 1, 1), make_month("p", 2012, 1, 2)]
+            aggregate_all(
+                [
+                    make_month("p", 2012, 1, 1),
+                    make_month("q", 2012, 1, 1),
+                    make_month("p", 2012, 1, 2),
+                ]
             )
 
     def test_output_never_longer_than_run_minus_one(self):
+        # With loc equal to the month number every growth month adds 1 to cga,
+        # so cga counts the growth months.
         rng = random.Random(7)
         for _ in range(50):
             months = sorted(rng.sample(range(1, 13), rng.randint(1, 12)))
-            facts = [make_month("p", 2012, m, rng.randint(0, 1000)) for m in months]
-            growth = derive_monthly_growth(facts)
+            facts = [make_month("p", 2012, m, m) for m in months]
+            aggregate = aggregate_all(facts, policy=GROWTHLESS_ZERO)[0]
             runs = 1 + sum(
                 1 for a, b in zip(months, months[1:]) if b - a > 1
             )  # contiguous runs
-            assert len(growth) <= len(facts) - runs
+            assert aggregate.cga == len(facts) - runs
 
 
 class TestAggregateYears:
     def test_constant_full_year(self):
         facts = month_run("p", 2012, [100] * 12)
-        growth = derive_monthly_growth(facts)
-        aggregate = aggregate_years(facts, growth)[0]
+        aggregate = aggregate_all(facts)[0]
         assert aggregate.cga == 0
         assert aggregate.cgi == pytest.approx(1.0)
         assert aggregate.cs == 100
@@ -84,51 +86,51 @@ class TestAggregateYears:
 
     def test_three_month_example(self):
         facts = month_run("p", 2012, [100, 110, 121])
-        growth = derive_monthly_growth(facts)
-        aggregate = aggregate_years(facts, growth)[0]
+        aggregate = aggregate_all(facts)[0]
         assert aggregate.cga == 21
         assert aggregate.cgi == pytest.approx(1.21)
         assert aggregate.cs == 121
 
     def test_age_defaults_to_minimum_year_present(self):
         facts = [make_month("p", 2010, 6, 10), make_month("p", 2012, 6, 20)]
-        aggregates = aggregate_years(facts, [])
+        aggregates = aggregate_all(facts)
         assert [(a.year, a.age) for a in aggregates] == [(2010, 0), (2012, 2)]
 
     def test_growthless_year_policy_undefined(self):
         facts = [make_month("p", 2012, 6, 100)]
-        aggregate = aggregate_years(facts, [], policy=GROWTHLESS_UNDEFINED)[0]
+        aggregate = aggregate_all(facts, policy=GROWTHLESS_UNDEFINED)[0]
         assert aggregate.cga is None and aggregate.cgi is None
         assert aggregate.cs == 100 and aggregate.age == 0
 
     def test_growthless_year_policy_zero(self):
         facts = [make_month("p", 2012, 6, 100)]
-        aggregate = aggregate_years(facts, [], policy=GROWTHLESS_ZERO)[0]
+        aggregate = aggregate_all(facts, policy=GROWTHLESS_ZERO)[0]
         assert aggregate.cga == 0 and aggregate.cgi == 1.0
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_years([make_month("p", 2012, 1, 1)], [], policy="maybe")
+            aggregate_all([make_month("p", 2012, 1, 1)], policy="maybe")
+
+    def test_unknown_policy_rejected_on_empty_input(self):
+        with pytest.raises(ValueError):
+            aggregate_all([], policy="maybe")
 
     def test_undefined_ratio_omitted_from_product(self):
         # loc 0 -> 50 -> 100: first ratio undefined, second is 2.0
         facts = month_run("p", 2012, [0, 50, 100])
-        growth = derive_monthly_growth(facts)
-        aggregate = aggregate_years(facts, growth)[0]
+        aggregate = aggregate_all(facts)[0]
         assert aggregate.cga == 100
         assert aggregate.cgi == pytest.approx(2.0)
 
     def test_year_with_only_undefined_ratios(self):
         facts = month_run("p", 2012, [0, 50])
-        growth = derive_monthly_growth(facts)
-        aggregate = aggregate_years(facts, growth, policy=GROWTHLESS_UNDEFINED)[0]
+        aggregate = aggregate_all(facts, policy=GROWTHLESS_UNDEFINED)[0]
         assert aggregate.cga == 50
         assert aggregate.cgi is None
 
     def test_zero_ratio_collapses_product_to_zero(self):
         facts = month_run("p", 2012, [100, 0, 10])
-        growth = derive_monthly_growth(facts)
-        aggregate = aggregate_years(facts, growth)[0]
+        aggregate = aggregate_all(facts)[0]
         assert aggregate.cgi == 0.0
 
     def test_cs_is_max_and_attained(self):
@@ -136,14 +138,13 @@ class TestAggregateYears:
         for _ in range(20):
             locs = [rng.randint(0, 10_000) for _ in range(rng.randint(1, 12))]
             facts = month_run("p", 2012, locs)
-            aggregate = aggregate_years(facts, derive_monthly_growth(facts))[0]
+            aggregate = aggregate_all(facts)[0]
             assert all(aggregate.cs >= loc for loc in locs)
             assert aggregate.cs in locs
 
     def test_january_growth_belongs_to_new_year(self):
         facts = [make_month("p", 2011, 12, 100)] + month_run("p", 2012, [150, 180])
-        growth = derive_monthly_growth(facts)
-        aggregates = aggregate_years(facts, growth)
+        aggregates = aggregate_all(facts)
         by_year = {a.year: a for a in aggregates}
         assert by_year[2011].cga is None  # December has no prior November
         assert by_year[2012].cga == 80  # (150-100) + (180-150)
@@ -160,16 +161,14 @@ class TestTelescoping:
         rng = random.Random(101)
         for _ in range(100):
             facts, locs = self.full_year(rng)
-            growth = derive_monthly_growth(facts)
-            by_year = {a.year: a for a in aggregate_years(facts, growth)}
+            by_year = {a.year: a for a in aggregate_all(facts)}
             assert by_year[2012].cga == locs[12] - locs[0]
 
     def test_cgi_telescopes_to_december_ratio(self):
         rng = random.Random(202)
         for _ in range(100):
             facts, locs = self.full_year(rng)
-            growth = derive_monthly_growth(facts)
-            by_year = {a.year: a for a in aggregate_years(facts, growth)}
+            by_year = {a.year: a for a in aggregate_all(facts)}
             expected = locs[12] / locs[0]
             assert by_year[2012].cgi == pytest.approx(expected, rel=1e-9)
 
@@ -202,7 +201,7 @@ class TestAggregateAll:
 class TestAggregatesCsv:
     def test_undefined_values_render_as_empty_cells(self, tmp_path):
         facts = [make_month("p", 2012, 6, 100)]
-        aggregates = aggregate_years(facts, [])
+        aggregates = aggregate_all(facts)
         path = tmp_path / "aggregates.csv"
         write_aggregates_csv(aggregates, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -211,7 +210,7 @@ class TestAggregatesCsv:
 
     def test_defined_values_round_trip_textually(self, tmp_path):
         facts = month_run("p", 2012, [100, 110, 121])
-        aggregates = aggregate_years(facts, derive_monthly_growth(facts))
+        aggregates = aggregate_all(facts)
         path = tmp_path / "aggregates.csv"
         write_aggregates_csv(aggregates, path)
         row = path.read_text(encoding="utf-8").splitlines()[1].split(",")

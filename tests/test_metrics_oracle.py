@@ -1,0 +1,229 @@
+"""Differential tests of ``aggregate_all`` against the two-pass derivation.
+
+``derive_monthly_growth``, ``aggregate_years``, ``aggregate_all`` and
+``_product`` below are the metrics code the package used before it
+aggregated in one walk, unchanged except that the facts they take are
+annotated as the ``SizeRecord``s they now are. They regroup each project
+twice and build one growth record per month, and serve here as the
+oracle: on any facts, under either policy, the package must return
+aggregates with the same ``repr`` (so ``cgi`` is bit-identical), log the
+same debug lines, and raise ``ValueError`` where the oracle does.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+from collections import defaultdict
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from baserates import metrics
+from baserates.facts import FactKey, SizeRecord, YearlyAggregate, previous_month
+from baserates.metrics import GROWTHLESS_POLICIES, GROWTHLESS_UNDEFINED, GROWTHLESS_ZERO
+from conftest import make_month
+
+logger = logging.getLogger(__name__)
+
+_LOG_SPACE_THRESHOLD = 6
+
+
+class MonthlyGrowth(NamedTuple):
+    """Month-over-month change; indexed_growth is None when the previous month had zero lines."""
+
+    key: FactKey
+    abs_growth: int
+    indexed_growth: float | None
+
+
+def derive_monthly_growth(facts: Sequence[SizeRecord]) -> list[MonthlyGrowth]:
+    """Growth records for months whose previous calendar month is present.
+
+    ``facts`` must belong to a single project and carry unique keys. The
+    absolute growth is the line difference to the previous month; the
+    indexed growth is the ratio, left undefined (None) when the previous
+    month had zero lines.
+    """
+    if not facts:
+        return []
+    if len({fact.key.project for fact in facts}) > 1:
+        raise ValueError("derive_monthly_growth expects facts of a single project")
+    by_month: dict[tuple[int, int], SizeRecord] = {}
+    for fact in facts:
+        month_key = (fact.key.year, fact.key.month)
+        if month_key in by_month:
+            raise ValueError(
+                f"duplicate month {month_key} for project {fact.key.project!r}"
+            )
+        by_month[month_key] = fact
+
+    growth: list[MonthlyGrowth] = []
+    for fact in facts:
+        prev = by_month.get(previous_month(fact.key.year, fact.key.month))
+        if prev is None:
+            continue
+        ratio = fact.loc / prev.loc if prev.loc != 0 else None
+        growth.append(MonthlyGrowth(fact.key, fact.loc - prev.loc, ratio))
+    return growth
+
+
+def _product(factors: Sequence[float]) -> float:
+    if any(factor == 0 for factor in factors):
+        return 0.0
+    if len(factors) > _LOG_SPACE_THRESHOLD:
+        return math.exp(math.fsum(math.log(factor) for factor in factors))
+    result = 1.0
+    for factor in factors:
+        result *= factor
+    return result
+
+
+def aggregate_years(
+    facts: Sequence[SizeRecord],
+    growth: Sequence[MonthlyGrowth],
+    policy: str = GROWTHLESS_UNDEFINED,
+) -> list[YearlyAggregate]:
+    """Aggregate one project's facts into per-year metrics.
+
+    Per year: cs is the maximum monthly line count, cga the sum of the
+    defined monthly absolute growth values, cgi the product of the
+    defined monthly ratios, and age the distance to the minimum year
+    present.
+
+    Years without any growth month distinguish "no evidence" from "no
+    change": under the "undefined" policy cga and cgi are None, under
+    the "zero" policy they take the identity elements 0 and 1.0.
+    """
+    if policy not in GROWTHLESS_POLICIES:
+        raise ValueError(f"unknown growthless-year policy {policy!r}")
+    if not facts:
+        return []
+    projects = {fact.key.project for fact in facts}
+    if len(projects) > 1:
+        raise ValueError("aggregate_years expects facts of a single project")
+    project = projects.pop()
+
+    start_year = min(fact.key.year for fact in facts)
+    facts_by_year: dict[int, list[SizeRecord]] = defaultdict(list)
+    for fact in facts:
+        facts_by_year[fact.key.year].append(fact)
+    growth_by_year: dict[int, list[MonthlyGrowth]] = defaultdict(list)
+    for record in growth:
+        growth_by_year[record.key.year].append(record)
+
+    aggregates: list[YearlyAggregate] = []
+    for year in sorted(facts_by_year):
+        months = facts_by_year[year]
+        year_growth = growth_by_year.get(year, [])
+        ratios = [g.indexed_growth for g in year_growth if g.indexed_growth is not None]
+        omitted = len(year_growth) - len(ratios)
+        if omitted:
+            logger.debug(
+                "%s %d: %d undefined monthly ratio(s) omitted from the growth index",
+                project,
+                year,
+                omitted,
+            )
+        if year_growth:
+            cga = sum(g.abs_growth for g in year_growth)
+        else:
+            cga = 0 if policy == GROWTHLESS_ZERO else None
+        if ratios:
+            cgi: float | None = _product(ratios)
+        else:
+            cgi = 1.0 if policy == GROWTHLESS_ZERO else None
+        aggregates.append(
+            YearlyAggregate(
+                project=project,
+                year=year,
+                cs=max(fact.loc for fact in months),
+                cga=cga,
+                cgi=cgi,
+                age=year - start_year,
+                months_present=len(months),
+            )
+        )
+    return aggregates
+
+
+def aggregate_all(
+    facts: Iterable[SizeRecord], policy: str = GROWTHLESS_UNDEFINED
+) -> list[YearlyAggregate]:
+    """Derive growth and aggregate every project.
+
+    The facts may come in any order; the aggregates come back sorted by
+    (project, year).
+    """
+    aggregates: list[YearlyAggregate] = []
+    facts = sorted(facts, key=attrgetter("key"))
+    for _, months in groupby(facts, key=attrgetter("key.project")):
+        project_facts = list(months)
+        growth = derive_monthly_growth(project_facts)
+        aggregates.extend(aggregate_years(project_facts, growth, policy))
+    return aggregates
+
+
+def run_logged(aggregate, logger_name, facts, policy):
+    """``repr`` of ``aggregate(facts, policy)``, or ValueError, with its debug lines."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    log = logging.getLogger(logger_name)
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        result = repr(aggregate(facts, policy))
+    except ValueError:
+        result = ValueError
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    return result, [record.getMessage() for record in records]
+
+
+# Zero lines one month in five, so ratios go undefined and products
+# collapse to zero; otherwise sizes of up to 2, 4, 6 or 8 digits.
+LOCS = st.integers(0, 4).flatmap(
+    lambda digits: st.just(0) if digits == 0 else st.integers(1, 100 ** digits)
+)
+# Mostly consecutive months, so years hold runs of more than six ratios;
+# sometimes a gap of a month, or of about a year across December.
+STEPS = st.sampled_from([1] * 16 + [2, 3, 12, 13])
+
+
+@st.composite
+def monthly_sizes(draw):
+    """Size records of up to four projects, shuffled, sometimes with a repeated month.
+
+    A project may start in the month after the previous project (in name
+    order) ends, so a growth link that ignores the project shows.
+    """
+    facts: list[SizeRecord] = []
+    index = draw(st.integers(2000 * 12, 2002 * 12 + 11))
+    for project in sorted(draw(st.sets(st.sampled_from("abcd"), max_size=4))):
+        if draw(st.booleans()):
+            index = draw(st.integers(2000 * 12, 2002 * 12 + 11))
+        for _ in range(draw(st.integers(1, 36))):
+            year, month = divmod(index, 12)
+            facts.append(make_month(project, year, month + 1, draw(LOCS)))
+            last, index = index, index + draw(STEPS)
+        index = last + 1
+    if facts and draw(st.integers(0, 7)) == 0:
+        repeated = draw(st.sampled_from(facts))
+        facts.append(make_month(*repeated.key, draw(LOCS)))
+    return draw(st.permutations(facts))
+
+
+@settings(max_examples=400, deadline=None)
+@given(facts=monthly_sizes(), policy=st.sampled_from(GROWTHLESS_POLICIES))
+def test_aggregate_all_matches_oracle(facts, policy):
+    expected, expected_lines = run_logged(aggregate_all, __name__, facts, policy)
+    result, lines = run_logged(metrics.aggregate_all, metrics.__name__, facts, policy)
+    assert result == expected
+    if result is not ValueError:  # a raise may come after different debug lines
+        assert lines == expected_lines

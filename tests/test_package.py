@@ -27,6 +27,13 @@ def test_readme_library_names_are_exported():
     assert set(names) <= set(baserates.__all__)
 
 
+def test_every_exported_name_resolves():
+    # A dangling entry would make `from baserates import *` raise AttributeError.
+    missing = [name for name in baserates.__all__ if not hasattr(baserates, name)]
+    assert missing == []
+    assert len(set(baserates.__all__)) == len(baserates.__all__)
+
+
 @pytest.fixture
 def bench_run(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))

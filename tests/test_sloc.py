@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from baserates.facts import FactKey
-from baserates.metrics import aggregate_years, derive_monthly_growth
+from baserates.metrics import aggregate_all
 from baserates.sloc import (
     LanguageSyntax,
     LineCounts,
@@ -353,8 +353,6 @@ class TestSnapshots:
 
     def test_snapshot_growth_feeds_metrics(self, tmp_path):
         """Shared fixture with the metrics examples: 100 -> 110 -> 121 gives 1.21."""
-        from conftest import make_month
-
         for index, code_lines in enumerate([100, 110, 121]):
             self.make_tree(tmp_path / f"snap{index}", code_lines)
         records = snapshot_to_size_facts(
@@ -362,9 +360,7 @@ class TestSnapshots:
             [(2012, month, tmp_path / f"snap{month - 1}") for month in (1, 2, 3)],
             default_registry(),
         )
-        facts = [make_month("proj", r.key.year, r.key.month, r.loc) for r in records]
-        growth = derive_monthly_growth(facts)
-        aggregate = aggregate_years(facts, growth)[0]
+        aggregate = aggregate_all(records)[0]
         assert aggregate.cga == 21
         assert aggregate.cgi == pytest.approx(1.21, rel=1e-12)
         assert aggregate.cs == 121
