@@ -280,13 +280,21 @@ def run_analyze(metadata_path, facts_path, cutoff_year, policy, out_dir, svg) ->
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="baserates: %(levelname)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    # A handler per call, so each call's warnings reach the stderr current at
+    # that call; records still propagate to any handlers the caller installed.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("baserates: %(levelname)s: %(message)s"))
+    package_logger = logging.getLogger("baserates")
+    package_logger.addHandler(handler)
+    try:
+        return args.func(args)
+    finally:
+        package_logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -95,9 +95,10 @@ class ActivityRecord(_ActivityRecord):
 
     def __new__(cls, key, loc_added, loc_removed, commits, contributors):
         counts = (loc_added, loc_removed, commits, contributors)
-        for name, value in zip(cls._fields[1:], counts):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        if loc_added < 0 or loc_removed < 0 or commits < 0 or contributors < 0:
+            for name, value in zip(cls._fields[1:], counts):
+                if value < 0:
+                    raise ValueError(f"{name} must be >= 0, got {value}")
         return tuple.__new__(cls, (key, *counts))
 
 

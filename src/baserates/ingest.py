@@ -127,11 +127,14 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
     """Read the canonical facts CSV into raw size and activity records.
 
     Only field syntax is checked here; negative code sizes pass through
-    so the validator can reject and account for them.
+    so the validator can reject and account for them. The records of one
+    project share one name string.
     """
     size: list[SizeRecord] = []
     activity: list[ActivityRecord] = []
-    report = IngestReport()
+    names: dict[str, str] = {}  # projects of the accepted rows, each name kept once
+    malformed: list[RecordDiagnostic] = []
+    records_read = 0
     path = Path(path)
     with _open_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -142,62 +145,58 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
             if header != FACTS_HEADER:
                 raise IngestError(f"{path}: unexpected header {','.join(header)!r}")
             for row in reader:
-                if not any(cell.strip() for cell in row):
+                # str.strip drops the same Unicode whitespace cell by cell or joined.
+                if not "".join(row).strip():
                     continue
-                lineno = reader.line_num
-                report.records_read += 1
-                reason = _parse_facts_row(row, size, activity)
+                records_read += 1
+                reason = _parse_facts_row(row, names, size, activity)
                 if reason is not None:
-                    report.malformed.append(RecordDiagnostic(str(path), lineno, reason))
+                    malformed.append(RecordDiagnostic(str(path), reader.line_num, reason))
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from None
-    report.projects_read = len({r.key.project for records in (size, activity) for r in records})
+    report = IngestReport(projects_read=len(names), records_read=records_read, malformed=malformed)
     return size, activity, report
 
 
-def _parse_facts_row(row, size, activity) -> str | None:
+def _parse_facts_row(row, names, size, activity) -> str | None:
     if len(row) != len(FACTS_HEADER):
         return f"expected {len(FACTS_HEADER)} fields, got {len(row)}"
+    project, year, month, loc, comments, blanks, added, removed, commits, contributors = row
     try:
-        year, month = int(row[1]), int(row[2])
+        year, month = int(year), int(month)
     except ValueError:
         return "year and month must be integers"
     try:
-        key = FactKey(row[0], year, month)
+        key = FactKey(names.get(project, project), year, month)
     except ValueError as exc:
         return str(exc)
 
-    size_cells = row[3:6]
-    activity_cells = row[6:10]
-    has_size = all(cell != "" for cell in size_cells)
-    has_activity = all(cell != "" for cell in activity_cells)
-    if not has_size and any(cell != "" for cell in size_cells):
+    has_size = loc != "" and comments != "" and blanks != ""
+    has_activity = added != "" and removed != "" and commits != "" and contributors != ""
+    if not has_size and (loc or comments or blanks):
         return "partial size fields (need all of loc, comments, blanks)"
-    if not has_activity and any(cell != "" for cell in activity_cells):
+    if not has_activity and (added or removed or commits or contributors):
         return "partial activity fields (need all of loc_added, loc_removed, commits, contributors)"
     if not has_size and not has_activity:
         return "neither size nor activity fields present"
 
-    size_record = activity_record = None
     if has_size:
         try:
-            size_record = SizeRecord(key, *map(int, size_cells))
+            size_record = SizeRecord(key, int(loc), int(comments), int(blanks))
         except ValueError:
             return "size fields must be integers"
     if has_activity:
         try:
-            counts = [int(cell) for cell in activity_cells]
+            counts = int(added), int(removed), int(commits), int(contributors)
         except ValueError:
             return "activity fields must be integers"
         try:
-            activity_record = ActivityRecord(key, *counts)
+            activity.append(ActivityRecord(key, *counts))
         except ValueError as exc:
             return str(exc)
-
-    if size_record is not None:
+    if has_size:  # kept only now that the activity half has parsed too
         size.append(size_record)
-    if activity_record is not None:
-        activity.append(activity_record)
+    names.setdefault(project, project)
     return None
 
 

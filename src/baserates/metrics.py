@@ -57,8 +57,9 @@ def aggregate_all(
     change": under the "undefined" policy cga and cgi are None, under
     the "zero" policy they take the identity elements 0 and 1.0.
 
-    The facts may come in any order but a repeated project-month raises
-    ValueError; the aggregates come back sorted by (project, year).
+    The facts may come in any order but a repeated project-month or a
+    negative loc raises ValueError; the aggregates come back sorted by
+    (project, year).
     """
     if policy not in GROWTHLESS_POLICIES:
         raise ValueError(f"unknown growthless-year policy {policy!r}")
@@ -75,6 +76,10 @@ def aggregate_all(
             key, loc = fact.key, fact.loc
             if key == prev_key:
                 raise ValueError(f"duplicate month {key[1:]} for project {project!r}")
+            if loc < 0:
+                raise ValueError(
+                    f"negative loc {loc} for project {project!r} at {year}-{key.month:02d}"
+                )
             if prev_key == (project, *previous_month(year, key.month)):
                 growth_months += 1
                 cga += loc - prev_loc

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -289,6 +290,20 @@ class TestAnalyze:
         assert doc["validation"]["excluded_svn_config"] == 0
         assert doc["validation"]["excluded_missing_data"] == 3
         assert doc["validation"]["projects_remaining"] == 7
+
+    def test_each_call_warns_on_its_own_stderr(self, tmp_path):
+        copy_corpus(tmp_path)
+        with (tmp_path / "facts.csv").open("a", encoding="utf-8") as handle:
+            handle.write("alpha,2012,13,1,1,1,1,1,1,1\n")
+        errs = []
+        for run in ("first", "second"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(analyze_args(tmp_path, out=tmp_path / run)) == EXIT_OK
+            errs.append(err.getvalue())
+        assert errs[0] == errs[1]
+        assert errs[1].count("baserates: WARNING: ") == 1
+        assert "month 13 outside 1..12" in errs[1]
 
     def test_aggregates_csv_matches_survivors(self, tmp_path):
         copy_corpus(tmp_path)

@@ -213,6 +213,19 @@ class TestReadFacts:
         assert report.records_read == 3
         assert surviving_rows == 2
 
+    def test_records_of_a_project_share_one_name(self, tmp_path):
+        path = tmp_path / "facts.csv"
+        write_lines(
+            path,
+            HEADER,
+            "proj,2012,1,1,1,1,1,1,1,1",
+            "proj,2012,2,1,1,1,,,,",
+            "proj,2012,3,,,,1,1,1,1",
+        )
+        size, activity, _ = read_facts(path)
+        names = {id(record.key.project) for record in size + activity}
+        assert len(names) == 1
+
     def test_wrong_header_raises(self, tmp_path):
         path = tmp_path / "facts.csv"
         write_lines(path, "project,year", "p,2012")

@@ -1,0 +1,231 @@
+"""Differential tests of ``read_facts`` against the cell-by-cell reader.
+
+``read_facts``, ``_parse_facts_row`` and ``ActivityRecord`` below are the
+facts reader and activity record the package used before it unpacked
+each row once and shared one name string per project. They test cells
+with ``all``/``any`` generators, build a set of project names after the
+last row, and serve here as the oracle: on any facts CSV the package
+must return records, counts and diagnostics with the same ``repr``, or
+raise the same ``IngestError``.
+"""
+
+from __future__ import annotations
+
+import csv
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from baserates import ingest
+from baserates.facts import FactKey, SizeRecord
+from baserates.ingest import (
+    FACTS_HEADER,
+    IngestError,
+    IngestReport,
+    RecordDiagnostic,
+    _open_utf8,
+)
+
+
+class _ActivityRecord(NamedTuple):
+    key: FactKey
+    loc_added: int
+    loc_removed: int
+    commits: int
+    contributors: int
+
+
+class ActivityRecord(_ActivityRecord):
+    """Monthly change counts; all fields are non-negative by construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, key, loc_added, loc_removed, commits, contributors):
+        counts = (loc_added, loc_removed, commits, contributors)
+        for name, value in zip(cls._fields[1:], counts):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        return tuple.__new__(cls, (key, *counts))
+
+
+def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestReport]:
+    """Read the canonical facts CSV into raw size and activity records.
+
+    Only field syntax is checked here; negative code sizes pass through
+    so the validator can reject and account for them.
+    """
+    size: list[SizeRecord] = []
+    activity: list[ActivityRecord] = []
+    report = IngestReport()
+    path = Path(path)
+    with _open_utf8(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty facts file (missing header)")
+            if header != FACTS_HEADER:
+                raise IngestError(f"{path}: unexpected header {','.join(header)!r}")
+            for row in reader:
+                if not any(cell.strip() for cell in row):
+                    continue
+                lineno = reader.line_num
+                report.records_read += 1
+                reason = _parse_facts_row(row, size, activity)
+                if reason is not None:
+                    report.malformed.append(RecordDiagnostic(str(path), lineno, reason))
+        except csv.Error as exc:
+            raise IngestError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from None
+    report.projects_read = len({r.key.project for records in (size, activity) for r in records})
+    return size, activity, report
+
+
+def _parse_facts_row(row, size, activity) -> str | None:
+    if len(row) != len(FACTS_HEADER):
+        return f"expected {len(FACTS_HEADER)} fields, got {len(row)}"
+    try:
+        year, month = int(row[1]), int(row[2])
+    except ValueError:
+        return "year and month must be integers"
+    try:
+        key = FactKey(row[0], year, month)
+    except ValueError as exc:
+        return str(exc)
+
+    size_cells = row[3:6]
+    activity_cells = row[6:10]
+    has_size = all(cell != "" for cell in size_cells)
+    has_activity = all(cell != "" for cell in activity_cells)
+    if not has_size and any(cell != "" for cell in size_cells):
+        return "partial size fields (need all of loc, comments, blanks)"
+    if not has_activity and any(cell != "" for cell in activity_cells):
+        return "partial activity fields (need all of loc_added, loc_removed, commits, contributors)"
+    if not has_size and not has_activity:
+        return "neither size nor activity fields present"
+
+    size_record = activity_record = None
+    if has_size:
+        try:
+            size_record = SizeRecord(key, *map(int, size_cells))
+        except ValueError:
+            return "size fields must be integers"
+    if has_activity:
+        try:
+            counts = [int(cell) for cell in activity_cells]
+        except ValueError:
+            return "activity fields must be integers"
+        try:
+            activity_record = ActivityRecord(key, *counts)
+        except ValueError as exc:
+            return str(exc)
+
+    if size_record is not None:
+        size.append(size_record)
+    if activity_record is not None:
+        activity.append(activity_record)
+    return None
+
+
+def outcome(reader, path) -> str:
+    """``repr`` of everything the reader returns, or of the IngestError it raises."""
+    try:
+        return repr(reader(path))
+    except IngestError as exc:
+        return f"IngestError({exc})"
+
+
+# Forms int() accepts (surrounding whitespace, a sign, digit underscores,
+# Unicode digits, negative zero) and forms it rejects, beside plain counts.
+ODD_INTS = [" 7", "+5", "1_000", "٣", "-0", "12\n", "1.5", "x", "-3"]
+COUNTS = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(ODD_INTS))
+YEARS = st.one_of(
+    st.integers(2009, 2012).map(str),
+    st.sampled_from(["1949", " 2011", "+2010", "2_011", "٢٠١١", "", "x"]),
+)
+MONTHS = st.one_of(
+    st.integers(1, 12).map(str), st.sampled_from(["0", "13", " 7", "+5", "٣", "-0", "1.5"])
+)
+# "a\nb" is a quoted name with a line break, so the row spans two lines.
+PROJECTS = st.sampled_from(["a", "b", "c", "a\nb", ""])
+# One negative count, named in the diagnostic, in each activity position.
+ONE_NEGATIVE = st.tuples(st.integers(0, 3), st.integers(-9, -1)).map(
+    lambda spec: [str(spec[1]) if i == spec[0] else "4" for i in range(4)]
+)
+
+
+def half(width, *extra):
+    """Cells of one half: all filled, all empty, or a mix that is partial."""
+    return st.one_of(
+        st.lists(COUNTS, min_size=width, max_size=width),
+        st.just([""] * width),
+        st.lists(st.sampled_from(["", "5"]), min_size=width, max_size=width),
+        *extra,
+    )
+
+
+FULL_ROWS = st.builds(
+    lambda project, year, month, size, activity: [project, year, month, *size, *activity],
+    PROJECTS,
+    YEARS,
+    MONTHS,
+    half(3),
+    half(4, ONE_NEGATIVE),
+)
+# Rows of a project that appears nowhere else and is malformed every time:
+# it must not count among the projects read.
+GHOST_ROWS = st.sampled_from(
+    [
+        ["ghost", "2011", "13", "1", "2", "3", "4", "5", "6", "7"],
+        ["ghost", "2011", "1", "1", "", "3", "4", "5", "6", "7"],
+        ["ghost", "2011", "2", "1", "2", "3", "4", "", "6", "7"],
+        ["ghost", "2011", "3", "", "", "", "", "", "", ""],
+        ["ghost", "2011", "4", "1", "2", "3", "4", "-5", "6", "7"],
+        ["ghost", "2011", "5", "x", "2", "3", "4", "5", "6", "7"],
+        ["ghost", "2011", "6"],
+    ]
+)
+WRONG_WIDTH = st.lists(COUNTS, min_size=1, max_size=12).filter(lambda row: len(row) != 10)
+# Whitespace-only rows, Unicode spaces included, are blank and not records.
+BLANK_ROWS = st.lists(
+    st.sampled_from(["", " ", "\t", "\xa0", "　", " \xa0　 "]), max_size=10
+)
+ROWS = st.lists(
+    st.one_of(FULL_ROWS, FULL_ROWS, GHOST_ROWS, WRONG_WIDTH, BLANK_ROWS), max_size=30
+)
+
+
+def write_csv(path, rows, lineterminator) -> None:
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator=lineterminator)
+        writer.writerow(FACTS_HEADER)
+        writer.writerows(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=ROWS, lineterminator=st.sampled_from(["\n", "\r\n"]))
+def test_read_facts_matches_oracle(rows, lineterminator):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "facts.csv"
+        write_csv(path, rows, lineterminator)
+        assert outcome(ingest.read_facts, path) == outcome(read_facts, path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"project,year\n",
+        b",".join(f.encode() for f in FACTS_HEADER) + b"\na,2011,1,1,2,3,4,5,6,7\n\xff\n",
+        b",".join(f.encode() for f in FACTS_HEADER) + b"\na,2011,1," + b"9" * 140_000 + b",2,3\n",
+        b",".join(f.encode() for f in FACTS_HEADER) + b'\na,2011,1,"1\n\n2",2,3,4,5,6,7\n"open\n',
+    ],
+    ids=["empty", "wrong-header", "not-utf8", "field-too-large", "quoted-line-breaks"],
+)
+def test_unreadable_files_match_oracle(tmp_path, data):
+    path = tmp_path / "facts.csv"
+    path.write_bytes(data)
+    assert outcome(ingest.read_facts, path) == outcome(read_facts, path)

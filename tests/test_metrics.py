@@ -61,6 +61,14 @@ class TestDeriveMonthlyGrowth:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "locs", [[10, -5], [10, -5, 10, 10, 10, 10, 10, 10]], ids=["product", "log-space"]
+    )
+    def test_rejects_negative_loc(self, locs):
+        # Short runs used to return a signed product, long ones a math domain error.
+        with pytest.raises(ValueError, match=r"negative loc -5 for project 'p' at 2012-02"):
+            aggregate_all(month_run("p", 2012, locs))
+
     def test_output_never_longer_than_run_minus_one(self):
         # With loc equal to the month number every growth month adds 1 to cga,
         # so cga counts the growth months.
