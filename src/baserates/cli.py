@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import logging
 import sys
@@ -83,7 +84,7 @@ def _cmd_count(args) -> int:
             if args.registry
             else sloc.default_registry()
         )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, RecursionError) as exc:
         print(f"baserates: cannot load registry: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -136,7 +137,7 @@ def _cmd_analyze(args) -> int:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 config = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             print(f"baserates: cannot load config: {exc}", file=sys.stderr)
             return EXIT_IO
         if not isinstance(config, dict):
@@ -291,10 +292,16 @@ def main(argv=None) -> int:
     handler.setFormatter(logging.Formatter("baserates: %(levelname)s: %(message)s"))
     package_logger = logging.getLogger("baserates")
     package_logger.addHandler(handler)
+    # The records a run builds hold no reference cycles, so the cyclic GC's
+    # passes over them are pure overhead. The caller's setting is restored.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     finally:
         package_logger.removeHandler(handler)
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -83,13 +83,13 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
-                report.malformed.append(
-                    RecordDiagnostic(str(path), lineno, f"invalid JSON: {exc.msg}")
-                )
-                continue
-            meta, reason = _parse_meta(doc)
-            if reason is None and meta.name in seen:
-                reason = f"duplicate project name {meta.name!r}"
+                reason = f"invalid JSON: {exc.msg}"
+            except RecursionError:  # the decoder's nesting limit
+                reason = "invalid JSON: nested too deeply"
+            else:
+                meta, reason = _parse_meta(doc)
+                if reason is None and meta.name in seen:
+                    reason = f"duplicate project name {meta.name!r}"
             if reason is not None:
                 report.malformed.append(RecordDiagnostic(str(path), lineno, reason))
                 continue

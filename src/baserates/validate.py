@@ -31,7 +31,8 @@ SVN_URL_PATTERNS = (
     r".*/tags/\w+",
 )
 
-_SVN_URL_REGEXES = tuple(re.compile(p, re.IGNORECASE) for p in SVN_URL_PATTERNS)
+# One alternation, which fully matches exactly when one of the patterns does.
+_SVN_URL_REGEX = re.compile("|".join(f"(?:{p})" for p in SVN_URL_PATTERNS), re.IGNORECASE)
 
 
 def check_svn_enlistments(meta: ProjectMeta) -> tuple[bool, list[str]]:
@@ -43,7 +44,7 @@ def check_svn_enlistments(meta: ProjectMeta) -> tuple[bool, list[str]]:
     offending = [
         e.url
         for e in meta.enlistments
-        if e.is_svn and not any(rx.fullmatch(e.url) for rx in _SVN_URL_REGEXES)
+        if e.is_svn and not _SVN_URL_REGEX.fullmatch(e.url)
     ]
     return not offending, offending
 
@@ -128,36 +129,35 @@ def validate_dataset(
         for project, months in groupby(monthly_facts, key=attrgetter("key.project"))
     }
 
-    collected = sorted(set(meta_by_name) | set(facts_by_project))
+    collected = sorted(meta_by_name.keys() | facts_by_project.keys())
+    remaining = []
+    rule1 = rule2 = 0
+    for project in collected:
+        if project not in meta_by_name or project not in facts_by_project:
+            rule1 += 1
+        elif not check_svn_enlistments(meta_by_name[project])[0]:
+            rule2 += 1
+        else:
+            remaining.append(project)
 
-    rule1 = {
-        project
-        for project in collected
-        if project not in meta_by_name or project not in facts_by_project
-    }
-    rule2 = {
-        project
-        for project in collected
-        if project not in rule1 and not check_svn_enlistments(meta_by_name[project])[0]
-    }
-    remaining = [p for p in collected if p not in rule1 and p not in rule2]
-    months_before_rule3 = sum(len(facts_by_project[p]) for p in remaining)
-
-    kept: list[SizeRecord] = []
-    negative = 0
+    survivors: list[SizeRecord] = []
+    months_before_rule3 = months_remaining = years_remaining = 0
+    projects_after = years_after = 0
     for project in remaining:
-        for fact in facts_by_project[project]:
-            if fact.loc < 0:
-                negative += 1
-            else:
-                kept.append(fact)
+        months = facts_by_project[project]
+        months_before_rule3 += len(months)
+        survived = False
+        for year, in_year in groupby(months, key=attrgetter("key.year")):
+            kept = [fact for fact in in_year if fact.loc >= 0]
+            if kept:
+                months_remaining += len(kept)
+                years_remaining += 1
+                if year <= cutoff_year:
+                    survivors += kept
+                    years_after += 1
+                    survived = True
+        projects_after += survived
 
-    survivors = [fact for fact in kept if fact.key.year <= cutoff_year]
-    after = AfterCutoff(
-        projects=len({fact.key.project for fact in survivors}),
-        months=len(survivors),
-        years=len({(fact.key.project, fact.key.year) for fact in survivors}),
-    )
     if monthly_facts and not survivors:
         logger.warning(
             "no project-month survived validation with cut-off year %d", cutoff_year
@@ -165,13 +165,13 @@ def validate_dataset(
 
     report = ValidationReport(
         projects_collected=len(collected),
-        excluded_missing_data=len(rule1),
-        excluded_svn_config=len(rule2),
+        excluded_missing_data=rule1,
+        excluded_svn_config=rule2,
         projects_remaining=len(remaining),
         months_before_rule3=months_before_rule3,
-        excluded_negative_size=negative,
-        months_remaining=len(kept),
-        years_remaining=len({(fact.key.project, fact.key.year) for fact in kept}),
-        after_cutoff=after,
+        excluded_negative_size=months_before_rule3 - months_remaining,
+        months_remaining=months_remaining,
+        years_remaining=years_remaining,
+        after_cutoff=AfterCutoff(projects_after, len(survivors), years_after),
     )
     return survivors, report

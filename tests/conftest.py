@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import os
 from pathlib import Path
+
+import pytest
 
 import baserates
 from baserates.facts import FactKey, SizeRecord
@@ -17,6 +20,16 @@ SLOC_DIR = FIXTURES / "sloc"
 # child interpreter finds the same package from its own working directory
 # (a relative PYTHONPATH entry such as `src` would resolve against it).
 PACKAGE_ROOT = Path(baserates.__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def gc_left_as_found():
+    """Fail a test that leaves the cyclic GC switched other than it found it."""
+    enabled = gc.isenabled()
+    yield
+    if gc.isenabled() != enabled:
+        (gc.enable if enabled else gc.disable)()
+        pytest.fail(f"test left gc.isenabled() {not enabled}, found it {enabled}")
 
 
 def child_env() -> dict[str, str]:

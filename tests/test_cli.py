@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import shutil
 
 import pytest
 
+from baserates import cli
 from baserates.cli import EXIT_EMPTY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from conftest import CORPUS, SLOC_DIR, SLOC_MANIFEST
 
@@ -96,6 +98,7 @@ class TestCount:
         registry = tmp_path / "registry.json"
         for document in (
             "{broken",
+            "[" * 100_000 + "]" * 100_000,
             '{"languages": 5}',
             '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": [" #"]}]}',
             '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": ["#\\n"]}]}',
@@ -234,6 +237,22 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(config_path)]) == EXIT_OK
         assert (tmp_path / "out" / "boxplot_cs.svg").exists()
 
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ("{broken", "cannot load config"),
+            ("[" * 100_000 + "]" * 100_000, "cannot load config"),
+            ("[]", "config file must hold a JSON object"),
+        ],
+        ids=["broken", "deeply-nested", "not-an-object"],
+    )
+    def test_unloadable_config_is_io_error(self, tmp_path, capsys, document, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(document, encoding="utf-8")
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_bad_cutoff_type_in_config_is_usage_error(self, tmp_path, capsys):
         copy_corpus(tmp_path)
         config_path = tmp_path / "run.json"
@@ -317,3 +336,50 @@ class TestAnalyze:
         assert len(lines) == 1 + 8  # eight surviving project-years
         foxtrot_2011 = next(l for l in lines if l.startswith("foxtrot,2011"))
         assert foxtrot_2011 == "foxtrot,2011,500,,,0,1"
+
+
+class TestGcPause:
+    """``main`` pauses the cyclic GC for the command and restores the caller's setting."""
+
+    def record_gc(self, monkeypatch, outcome=EXIT_OK):
+        seen = []
+
+        def command(*args):
+            seen.append(gc.isenabled())
+            if isinstance(outcome, int):
+                return outcome
+            raise outcome
+
+        monkeypatch.setattr(cli, "run_analyze", command)
+        monkeypatch.setattr(cli, "_cmd_count", command)
+        return seen
+
+    @pytest.mark.parametrize("command", ["analyze", "count"])
+    def test_gc_is_off_during_the_command(self, tmp_path, monkeypatch, command):
+        seen = self.record_gc(monkeypatch)
+        argv = analyze_args(tmp_path) if command == "analyze" else ["count", "--root", "."]
+        assert main(argv) == EXIT_OK
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("outcome", [EXIT_OK, EXIT_IO, EXIT_EMPTY, RuntimeError("boom")])
+    def test_gc_is_on_again_after_the_command(self, tmp_path, monkeypatch, outcome):
+        seen = self.record_gc(monkeypatch, outcome)
+        if isinstance(outcome, int):
+            assert main(analyze_args(tmp_path)) == outcome
+        else:
+            with pytest.raises(RuntimeError, match="boom"):
+                main(analyze_args(tmp_path))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_caller_with_gc_off_keeps_it_off(self, tmp_path, monkeypatch):
+        seen = self.record_gc(monkeypatch)
+        gc.disable()
+        try:
+            assert main(analyze_args(tmp_path)) == EXIT_OK
+            assert main(["count", "--root", "."]) == EXIT_OK
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [False, False]

@@ -11,6 +11,7 @@ from baserates.facts import ActivityRecord, FactKey, ProjectMeta, SizeRecord
 from baserates.ingest import (
     FACTS_HEADER,
     IngestError,
+    RecordDiagnostic,
     read_facts,
     read_metadata,
     write_facts,
@@ -62,6 +63,16 @@ class TestReadMetadata:
         assert len(metas) == 1
         assert report.malformed_records == 1
         assert report.malformed[0].line == 1
+
+    def test_deeply_nested_json_line_is_malformed(self, tmp_path):
+        path = tmp_path / "meta.jsonl"
+        write_lines(path, '{"name": "a"}', "[" * 100_000 + "]" * 100_000, '{"name": "b"}')
+        metas, report = read_metadata(path)
+        assert [m.name for m in metas] == ["a", "b"]
+        assert report.records_read == 3
+        assert report.malformed == [
+            RecordDiagnostic(str(path), 2, "invalid JSON: nested too deeply")
+        ]
 
     def test_duplicate_name_keeps_first(self, tmp_path):
         path = tmp_path / "meta.jsonl"
