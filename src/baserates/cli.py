@@ -1,13 +1,12 @@
 """Command-line entry point: count source trees and run the analysis pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 validation left no
-survivors (the reports are still written in that case). Diagnostics go
-to stderr; data goes to files or stdout.
+Diagnostics go to stderr; data goes to files or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import json
@@ -21,7 +20,7 @@ from .facts import join_facts
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
-EXIT_EMPTY = 3
+EXIT_EMPTY = 3  # validation left no survivors; the reports are still written
 
 logger = logging.getLogger(__name__)
 
@@ -72,9 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail_usage(message: str) -> int:
-    print(f"baserates: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _fail(code: int, message: str) -> int:
+    """Print one diagnostic and return ``code``; usage errors read like argparse's."""
+    kind = "error: " if code == EXIT_USAGE else ""
+    print(f"baserates: {kind}{message}", file=sys.stderr)
+    return code
 
 
 def _cmd_count(args) -> int:
@@ -85,24 +86,17 @@ def _cmd_count(args) -> int:
             else sloc.default_registry()
         )
     except (OSError, ValueError, json.JSONDecodeError, RecursionError) as exc:
-        print(f"baserates: cannot load registry: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, f"cannot load registry: {exc}")
     try:
         tree = sloc.count_tree(args.root, registry)
+        with (
+            open(args.out, "w", encoding="utf-8", newline="")
+            if args.out
+            else contextlib.nullcontext(sys.stdout)
+        ) as handle:
+            _write_count_csv(tree, handle)
     except OSError as exc:
-        print(f"baserates: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    rows = _count_rows(tree)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                _write_count_csv(rows, handle)
-        except OSError as exc:
-            print(f"baserates: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        _write_count_csv(rows, sys.stdout)
+        return _fail(EXIT_IO, str(exc))
 
     if tree.skipped:
         print(
@@ -114,21 +108,30 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _count_rows(tree: sloc.TreeCount) -> list[list]:
-    def row(path, language, counts: sloc.LineCounts) -> list:
-        return [path, language, counts.code, counts.comment, counts.blank]
-
-    rows: list[list] = [["path", "language", "code", "comment", "blank"]]
-    rows += [row(fc.path, fc.language, fc.counts) for fc in tree.files]
-    for language in sorted(tree.by_language):
-        rows.append(row("(total)", language, tree.by_language[language]))
-    rows.append(row("(total)", "(all)", tree.total))
-    return rows
-
-
-def _write_count_csv(rows, handle) -> None:
+def _write_count_csv(tree: sloc.TreeCount, handle) -> None:
+    """A row per file, then a total per language, then the overall total."""
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerow(["path", "language", "code", "comment", "blank"])
+    for path, language, counts in (
+        *((fc.path, fc.language, fc.counts) for fc in tree.files),
+        *(("(total)", name, counts) for name, counts in sorted(tree.by_language.items())),
+        ("(total)", "(all)", tree.total),
+    ):
+        writer.writerow([path, language, counts.code, counts.comment, counts.blank])
+    # A write error can wait in the buffer; flushed here, it is caught with the rest.
+    handle.flush()
+
+
+# Each analyze setting's default (None: required); a flag beats the --config value.
+# A name is the argparse dest, the config key and the report's config echo key.
+_SETTINGS = {
+    "metadata": None,
+    "facts": None,
+    "cutoff_year": None,
+    "growthless_year_policy": metrics.GROWTHLESS_UNDEFINED,
+    "out": None,
+    "svg": False,
+}
 
 
 def _cmd_analyze(args) -> int:
@@ -138,49 +141,30 @@ def _cmd_analyze(args) -> int:
             with open(args.config, encoding="utf-8") as handle:
                 config = json.load(handle)
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            print(f"baserates: cannot load config: {exc}", file=sys.stderr)
-            return EXIT_IO
+            return _fail(EXIT_IO, f"cannot load config: {exc}")
         if not isinstance(config, dict):
-            print("baserates: config file must hold a JSON object", file=sys.stderr)
-            return EXIT_IO
+            return _fail(EXIT_IO, "config file must hold a JSON object")
 
-    def setting(flag_value, key, default=None):
-        return flag_value if flag_value is not None else config.get(key, default)
-
-    metadata_path = setting(args.metadata, "metadata")
-    facts_path = setting(args.facts, "facts")
-    cutoff_year = setting(args.cutoff_year, "cutoff_year")
-    policy = setting(
-        args.growthless_year_policy,
-        "growthless_year_policy",
-        metrics.GROWTHLESS_UNDEFINED,
-    )
-    out_dir = setting(args.out, "out")
-    svg = setting(args.svg, "svg", False)
-
-    missing = [
-        flag
-        for flag, value in (
-            ("--metadata", metadata_path),
-            ("--facts", facts_path),
-            ("--cutoff-year", cutoff_year),
-            ("--out", out_dir),
-        )
-        if value is None
-    ]
+    settings, missing = {}, []
+    for key, default in _SETTINGS.items():
+        flag = getattr(args, key)
+        settings[key] = flag if flag is not None else config.get(key, default)
+        if settings[key] is None and default is None:
+            missing.append("--" + key.replace("_", "-"))
     if missing:
-        return _fail_usage(f"missing required option(s): {', '.join(missing)}")
-    if not isinstance(cutoff_year, int) or isinstance(cutoff_year, bool):
-        return _fail_usage("--cutoff-year must be an integer")
-    for key, value in (("metadata", metadata_path), ("facts", facts_path), ("out", out_dir)):
-        if not isinstance(value, str):
-            return _fail_usage(f"config key {key!r} must be a string")
-    if not isinstance(svg, bool):
-        return _fail_usage("config key 'svg' must be true or false")
+        return _fail(EXIT_USAGE, f"missing required option(s): {', '.join(missing)}")
+    if type(settings["cutoff_year"]) is not int:  # a JSON true is no year
+        return _fail(EXIT_USAGE, "--cutoff-year must be an integer")
+    for key in ("metadata", "facts", "out"):
+        if not isinstance(settings[key], str):
+            return _fail(EXIT_USAGE, f"config key {key!r} must be a string")
+    if not isinstance(settings["svg"], bool):
+        return _fail(EXIT_USAGE, "config key 'svg' must be true or false")
+    policy = settings["growthless_year_policy"]
     if policy not in metrics.GROWTHLESS_POLICIES:
-        return _fail_usage(f"unknown growthless-year policy {policy!r}")
+        return _fail(EXIT_USAGE, f"unknown growthless-year policy {policy!r}")
 
-    return run_analyze(metadata_path, facts_path, cutoff_year, policy, out_dir, svg)
+    return run_analyze(settings)
 
 
 def _observations(
@@ -207,14 +191,14 @@ def _observations(
     return observations, undefined
 
 
-def run_analyze(metadata_path, facts_path, cutoff_year, policy, out_dir, svg) -> int:
+def run_analyze(config: dict) -> int:
     """Ingest, validate, derive, summarize, and write all report artifacts."""
+    cutoff_year = config["cutoff_year"]
     try:
-        metas, meta_report = ingest.read_metadata(metadata_path)
-        size, activity, facts_report = ingest.read_facts(facts_path)
+        metas, meta_report = ingest.read_metadata(config["metadata"])
+        size, activity, facts_report = ingest.read_facts(config["facts"])
     except (OSError, ingest.IngestError) as exc:
-        print(f"baserates: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, str(exc))
 
     for rep in (meta_report, facts_report):
         for diag in rep.malformed:
@@ -227,7 +211,7 @@ def run_analyze(metadata_path, facts_path, cutoff_year, policy, out_dir, svg) ->
     survivors, validation_report = validate.validate_dataset(
         metas, monthly, cutoff_year
     )
-    aggregates = metrics.aggregate_all(survivors, policy)
+    aggregates = metrics.aggregate_all(survivors, config["growthless_year_policy"])
 
     sections = []
     for metric in stats.Metric:
@@ -240,24 +224,15 @@ def run_analyze(metadata_path, facts_path, cutoff_year, policy, out_dir, svg) ->
                     undefined,
                 )
             )
+    document = report.build_report(validation_report, sections, config)
 
-    config_echo = {
-        "metadata": str(metadata_path),
-        "facts": str(facts_path),
-        "cutoff_year": cutoff_year,
-        "growthless_year_policy": policy,
-        "out": str(out_dir),
-        "svg": svg,
-    }
-    document = report.build_report(validation_report, sections, config_echo)
-
-    out = Path(out_dir)
+    out = Path(config["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
         metrics.write_aggregates_csv(aggregates, out / "yearly_aggregates.csv")
         (out / "report.json").write_text(report.render_json(document), encoding="utf-8")
         (out / "report.txt").write_text(report.render_text(document), encoding="utf-8")
-        if svg:
+        if config["svg"]:
             for section in document.sections:
                 metric_name = section.summary.metric.value
                 svg_text = report.render_boxplot_svg(
@@ -267,16 +242,13 @@ def run_analyze(metadata_path, facts_path, cutoff_year, policy, out_dir, svg) ->
                     svg_text, encoding="utf-8"
                 )
     except OSError as exc:
-        print(f"baserates: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, str(exc))
 
     if not survivors:
-        print(
-            "baserates: validation eliminated every project-month; "
-            "reports written with empty metrics",
-            file=sys.stderr,
+        return _fail(
+            EXIT_EMPTY,
+            "validation eliminated every project-month; reports written with empty metrics",
         )
-        return EXIT_EMPTY
     return EXIT_OK
 
 

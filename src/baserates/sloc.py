@@ -9,13 +9,13 @@ ends the comment), and string literals do not span lines.
 
 Each file's text is scanned once by one regex per syntax, whose
 alternatives (line comments, then block openers, then string delimiters)
-each match a whole comment or string; an opener led by whitespace never
-opens, and a backslash in a string skips the next character. Splitting
-the text on that regex masks it: comments drop out, a string keeps its
-opener, and a block comment over several lines keeps the newline that
-ends its first line, so each line not wholly inside a block maps to one
-masked line. A non-blank line is code when its masked line still holds
-non-whitespace. Lines end at ``\\n``; a ``\\r`` before it is whitespace.
+each match a whole comment or string, and a backslash in a string skips
+the next character. Splitting the text on that regex masks it: comments
+drop out, a string keeps its opener, and a block comment over several
+lines keeps the newline that ends its first line, so each line not
+wholly inside a block maps to one masked line. A non-blank line is code
+when its masked line still holds non-whitespace. Lines end at ``\\n``;
+a ``\\r`` before it is whitespace.
 """
 
 from __future__ import annotations
@@ -54,7 +54,11 @@ def _run_before(close: str, stops: str, escape: str = "") -> str:
 
 @dataclass(frozen=True)
 class LanguageSyntax:
-    """Comment and string syntax for one language, keyed by file extension."""
+    """Comment and string syntax for one language, keyed by file extension.
+
+    No delimiter may be empty or hold a line break, and no line comment,
+    block opener or string delimiter may start with whitespace.
+    """
 
     name: str
     extensions: tuple[str, ...]
@@ -73,9 +77,7 @@ class LanguageSyntax:
         # Masking would match one across a line end, as no line-by-line reading can.
         if any("\n" in d or "\r" in d for d in delimiters):
             raise ValueError(f"language {self.name!r} has a delimiter with a line break")
-
-    def _reject_whitespace_led_openers(self) -> None:
-        """Raise when an opener starts with whitespace, where no opener is looked for."""
+        # An opener only ever starts at a non-whitespace character.
         openers = [*self.line_comments, *self.string_delimiters]
         openers += [open_delim for open_delim, _ in self.block_comments]
         if any(opener[0].isspace() for opener in openers):
@@ -105,10 +107,7 @@ class LanguageSyntax:
             *((opener, block(close)) for opener, close in self.block_comments),
             *((opener, string(opener)) for opener in self.string_delimiters),
         ]
-        # Openers are tried only at non-whitespace, so one led by whitespace never opens.
-        alternatives = [
-            re.escape(opener) + body for opener, body in bodies if not opener[0].isspace()
-        ]
+        alternatives = [re.escape(opener) + body for opener, body in bodies]
         return re.compile("|".join(alternatives)) if alternatives else None
 
 
@@ -196,9 +195,8 @@ def load_registry(path) -> list[LanguageSyntax]:
 
     Expected shape: {"languages": [{"name": ..., "extensions": [...],
     "line_comments": [...], "block_comments": [[open, close], ...],
-    "string_delimiters": [...]}]}, every list holding strings. Line
-    comments, block openers and string delimiters must not start with
-    whitespace, and no delimiter may hold a line break.
+    "string_delimiters": [...]}]}, every list holding strings and every
+    entry a valid ``LanguageSyntax``.
     """
     with Path(path).open(encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -219,7 +217,6 @@ def load_registry(path) -> list[LanguageSyntax]:
                 ),
                 string_delimiters=_strings(raw.get("string_delimiters", [])),
             )
-            syntax._reject_whitespace_led_openers()
             languages.append(syntax)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad registry entry {raw!r}: {exc}") from exc

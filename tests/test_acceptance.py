@@ -266,12 +266,14 @@ def test_full_dataset_reproduction(tmp_path):
     root = Path(dataset)
     with criterion("full data set: validation counts and summary values reproduced"):
         code = run_analyze(
-            root / "metadata.jsonl",
-            root / "facts.csv",
-            cutoff_year=2012,
-            policy="zero",
-            out_dir=tmp_path,
-            svg=False,
+            {
+                "metadata": str(root / "metadata.jsonl"),
+                "facts": str(root / "facts.csv"),
+                "cutoff_year": 2012,
+                "growthless_year_policy": "zero",
+                "out": str(tmp_path),
+                "svg": False,
+            }
         )
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))

@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -53,6 +54,18 @@ class TestCount:
         assert main(["count", "--root", str(SLOC_DIR)]) == EXIT_OK
         stdout = capsys.readouterr().out
         assert stdout.startswith("path,language,code,comment,blank")
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failing_stdout_is_io_error(self, monkeypatch, capsys, failing):
+        class FullStdout(io.StringIO):
+            def fail(self, *args):
+                raise OSError(28, "No space left on device")
+
+        stdout = FullStdout()
+        setattr(stdout, failing, stdout.fail)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["count", "--root", str(SLOC_DIR)]) == EXIT_IO
+        assert capsys.readouterr().err == "baserates: [Errno 28] No space left on device\n"
 
     def test_missing_root_is_io_error(self, tmp_path, capsys):
         code = main(["count", "--root", str(tmp_path / "absent")])
@@ -202,26 +215,59 @@ class TestAnalyze:
         assert by_metric(zero_doc)["CGa"]["observations"] == 8
         assert by_metric(zero_doc)["CGa"]["undefined_excluded"] == 0
 
-    def test_config_file_supplies_defaults_and_flags_win(self, tmp_path):
-        copy_corpus(tmp_path)
+    # setting: flag value, config value the flag beats, config value used
+    # alone, and the default (None: the setting is required)
+    SETTINGS = {
+        "metadata": ("a/metadata.jsonl", "b/metadata.jsonl", "b/metadata.jsonl", None),
+        "facts": ("a/facts.csv", "b/facts.csv", "b/facts.csv", None),
+        "cutoff_year": (2012, 2011, 2011, None),
+        "growthless_year_policy": ("undefined", "zero", "zero", "undefined"),
+        "out": ("out-flag", "out-config", "out-config", None),
+        "svg": (True, False, True, False),
+    }
+
+    @pytest.mark.parametrize("case", ["flag-wins", "config-alone", "neither"])
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    def test_config_file_supplies_defaults_and_flags_win(
+        self, tmp_path, monkeypatch, capsys, key, case
+    ):
+        monkeypatch.chdir(tmp_path)
+        for copy in ("a", "b"):
+            (tmp_path / copy).mkdir()
+            copy_corpus(tmp_path / copy)
+        flag_value, beaten, alone, default = self.SETTINGS[key]
+        flag = "--" + key.replace("_", "-")
         config = {
-            "metadata": str(tmp_path / "metadata.jsonl"),
-            "facts": str(tmp_path / "facts.csv"),
-            "cutoff_year": 1990,
-            "out": str(tmp_path / "out"),
+            "metadata": "a/metadata.jsonl",
+            "facts": "a/facts.csv",
+            "cutoff_year": 2012,
+            "out": "out",
         }
-        config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        argv = [
-            "analyze",
-            "--config",
-            str(config_path),
-            "--cutoff-year",
-            "2012",  # overrides the config's 1990
-        ]
-        assert main(argv) == EXIT_OK
-        doc = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
-        assert doc["config"]["cutoff_year"] == 2012
+        config.pop(key, None)
+        argv = ["analyze", "--config", "run.json"]
+        if case == "flag-wins":
+            config[key] = beaten
+            argv += [flag] if flag_value is True else [flag, str(flag_value)]
+            expected = flag_value
+        elif case == "config-alone":
+            config[key] = expected = alone
+        else:
+            expected = default
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+
+        code = main(argv)
+        if expected is None:
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"baserates: error: missing required option(s): {flag}\n"
+            )
+            return
+        assert code == EXIT_OK
+        resolved = {"growthless_year_policy": "undefined", "svg": False, **config}
+        resolved[key] = expected
+        out = tmp_path / resolved["out"]
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["config"] == resolved
+        assert (out / "boxplot_cs.svg").exists() == resolved["svg"]
 
     def test_config_alone_is_sufficient(self, tmp_path):
         copy_corpus(tmp_path)

@@ -324,10 +324,15 @@ class TestRegistry:
             {"block_comments": (("/*", "*\r\n/"),)},
             {"block_comments": (("\n/*", "*/"),)},
             {"string_delimiters": ('"', "\r")},
+            # openers led by whitespace, where no opener is looked for
+            {"line_comments": (" #",)},
+            {"line_comments": ("#", "\t;")},
+            {"block_comments": (("/*", "*/"), (" {-", "-}"))},
+            {"string_delimiters": ("\xa0'",)},
         ],
     )
     def test_language_syntax_rejects_line_break_delimiters(self, delimiters):
-        with pytest.raises(ValueError, match="line break"):
+        with pytest.raises(ValueError, match="line break|starts with whitespace"):
             LanguageSyntax("bad", (".x",), **delimiters)
 
 

@@ -25,12 +25,11 @@ REPO = Path(__file__).resolve().parent.parent
 # Openers that overlap within a group in both priority orders (`/*` before
 # `/**`, `"""` before `"`) and across groups (line comment `--` and block
 # opener `--[[`, block opener `{-` and string `{`, `|` in two groups),
-# regex metacharacters, a string delimiter that starts with a backslash,
-# and a line comment that starts with whitespace (which can never open).
+# regex metacharacters, and a string delimiter that starts with a backslash.
 ADVERSARIAL = LanguageSyntax(
     name="adversarial",
     extensions=(".adv",),
-    line_comments=("|", "--", "\t;"),
+    line_comments=("|", "--"),
     block_comments=(
         ("/*", "*/"),
         ("/**", "**/"),
@@ -183,7 +182,7 @@ def test_generated_text_matches_oracle(syntax, data):
         ("/**/ x\n", (1, 0, 0)),  # `/*` wins over `/**`, so `*/` closes it
         ('"""a"b"""(*\nb *)\n', (1, 1, 0)),  # `"""` wins over `"`
         ('"\\"(*\nx\n', (2, 0, 0)),  # `\` skips the quote after it
-        ("\t; x\n", (1, 0, 0)),  # a whitespace-led opener never opens
+        ("\t| x\n", (0, 1, 0)),  # whitespace before an opener does not stop it
         ("\\q ab \\q (*\nx *)\n", (2, 0, 0)),  # `\q` cannot close itself
         ("--[[ a\nb ]]\n", (1, 1, 0)),  # line comment `--` wins over block `--[[`
         ("(* a\n\n *) b\n", (1, 1, 1)),
