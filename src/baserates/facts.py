@@ -64,13 +64,6 @@ class FactKey(_FactKey):
         return tuple.__new__(cls, (project, year, month))
 
 
-def previous_month(year: int, month: int) -> tuple[int, int]:
-    """Previous calendar month, crossing year boundaries: (Y, 1) -> (Y-1, 12)."""
-    if month == 1:
-        return year - 1, 12
-    return year, month - 1
-
-
 class SizeRecord(NamedTuple):
     """End-of-month source tree size; loc may be negative before validation."""
 

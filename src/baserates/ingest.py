@@ -11,9 +11,10 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
-from .facts import ActivityRecord, Enlistment, FactKey, ProjectMeta, SizeRecord
+from .facts import MIN_YEAR, ActivityRecord, Enlistment, FactKey, ProjectMeta, SizeRecord
 
 FACTS_HEADER = [
     "project",
@@ -123,12 +124,22 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
     return ProjectMeta(name, tuple(enlistments), tuple(tags)), None
 
 
+# A plain line: a name, then nine counts of at most 15 digits (below
+# 2**53), signed only in the three sizes. It holds no '"', '\r' or NUL,
+# so csv.reader would split it on its commas alone.
+_PLAIN_ROW = re.compile(
+    '([^,"\r\n\0]+)' + ",([0-9]{1,15})" * 2 + ",(-?[0-9]{1,15})" * 3 + ",([0-9]{1,15})" * 4 + "\n?"
+)
+
+
 def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestReport]:
     """Read the canonical facts CSV into raw size and activity records.
 
     Only field syntax is checked here; negative code sizes pass through
-    so the validator can reject and account for them. The records of one
-    project share one name string.
+    so the validator can reject and account for them, but a size beyond
+    2**53 in magnitude, which a float may not hold exactly, is malformed.
+    Rows and line numbers are those of csv.reader under the default
+    dialect. The records of one project share one name string.
     """
     size: list[SizeRecord] = []
     activity: list[ActivityRecord] = []
@@ -136,24 +147,47 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
     malformed: list[RecordDiagnostic] = []
     records_read = 0
     path = Path(path)
+    limit = csv.field_size_limit()  # a line no longer than this holds no longer field
+    new = tuple.__new__
     with _open_utf8(path, newline="") as handle:
-        reader = csv.reader(handle)
+        reader, lineno = csv.reader(handle), 1
         try:
             header = next(reader, None)
             if header is None:
                 raise IngestError(f"{path}: empty facts file (missing header)")
             if header != FACTS_HEADER:
                 raise IngestError(f"{path}: unexpected header {','.join(header)!r}")
-            for row in reader:
-                # str.strip drops the same Unicode whitespace cell by cell or joined.
-                if not "".join(row).strip():
-                    continue
-                records_read += 1
-                reason = _parse_facts_row(row, names, size, activity)
-                if reason is not None:
-                    malformed.append(RecordDiagnostic(str(path), reader.line_num, reason))
+            for lineno, line in enumerate(handle, reader.line_num + 1):
+                match = _PLAIN_ROW.fullmatch(line) if len(line) <= limit else None
+                if match is not None:
+                    # The pattern and this test hold every FactKey and ActivityRecord check.
+                    (project, year, month, loc, comments, blanks,
+                     added, removed, commits, contributors) = match.groups()
+                    year, month = int(year), int(month)
+                    if year >= MIN_YEAR and 1 <= month <= 12:
+                        records_read += 1
+                        key = new(FactKey, (names.setdefault(project, project), year, month))
+                        size.append(new(SizeRecord, (key, int(loc), int(comments), int(blanks))))
+                        counts = int(added), int(removed), int(commits), int(contributors)
+                        activity.append(new(ActivityRecord, (key, *counts)))
+                        continue
+                # csv.reader reads any other line alone, but the first one with a
+                # '"', '\r' or NUL and the rest of the file together (which ends
+                # this loop), so a quoted line break keeps its line numbers.
+                special = '"' in line or "\r" in line or "\0" in line
+                reader = csv.reader(chain([line], handle) if special else [line])
+                for row in reader:
+                    # str.strip drops the same Unicode whitespace cell by cell or joined.
+                    if not "".join(row).strip():
+                        continue
+                    records_read += 1
+                    reason = _parse_facts_row(row, names, size, activity)
+                    if reason is not None:
+                        line_num = lineno - 1 + reader.line_num
+                        malformed.append(RecordDiagnostic(str(path), line_num, reason))
         except csv.Error as exc:
-            raise IngestError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from None
+            line_num = lineno - 1 + reader.line_num
+            raise IngestError(f"{path}:{line_num}: unreadable CSV ({exc})") from None
     report = IngestReport(projects_read=len(names), records_read=records_read, malformed=malformed)
     return size, activity, report
 
@@ -185,6 +219,8 @@ def _parse_facts_row(row, names, size, activity) -> str | None:
             size_record = SizeRecord(key, int(loc), int(comments), int(blanks))
         except ValueError:
             return "size fields must be integers"
+        if max(map(abs, size_record[1:])) > 2**53:
+            return "size fields must not exceed 2**53 in magnitude"
     if has_activity:
         try:
             counts = int(added), int(removed), int(commits), int(contributors)

@@ -11,11 +11,11 @@ import csv
 import logging
 import math
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .facts import SizeRecord, YearlyAggregate, previous_month
+from .facts import SizeRecord, YearlyAggregate
 
 logger = logging.getLogger(__name__)
 
@@ -65,29 +65,29 @@ def aggregate_all(
         raise ValueError(f"unknown growthless-year policy {policy!r}")
     no_cga, no_cgi = (0, 1.0) if policy == GROWTHLESS_ZERO else (None, None)
     aggregates: list[YearlyAggregate] = []
-    prev_key, prev_loc = None, 0
-    facts = sorted(facts, key=attrgetter("key"))
-    for (project, year), months in groupby(facts, key=lambda fact: fact.key[:2]):
-        if prev_key is None or prev_key.project != project:
-            start_year = year
+    project, prev_index, prev_loc = None, None, 0  # prev_index: year*12+month
+    facts = sorted(facts, key=itemgetter(0))
+    for (name, year), months in groupby(facts, key=attrgetter("key.project", "key.year")):
+        if name != project:  # the first year of a project: no month precedes it
+            project, start_year, prev_index = name, year, None
         cs = cga = present = growth_months = 0
         ratios: list[float] = []
-        for fact in months:
-            key, loc = fact.key, fact.loc
-            if key == prev_key:
-                raise ValueError(f"duplicate month {key[1:]} for project {project!r}")
+        for (_, _, month), loc, _, _ in months:
+            index = year * 12 + month
+            if index == prev_index:
+                raise ValueError(f"duplicate month {(year, month)} for project {project!r}")
             if loc < 0:
                 raise ValueError(
-                    f"negative loc {loc} for project {project!r} at {year}-{key.month:02d}"
+                    f"negative loc {loc} for project {project!r} at {year}-{month:02d}"
                 )
-            if prev_key == (project, *previous_month(year, key.month)):
+            if index - 1 == prev_index:
                 growth_months += 1
                 cga += loc - prev_loc
                 if prev_loc != 0:
                     ratios.append(loc / prev_loc)
-            cs = max(cs, loc) if present else loc
+            cs = loc if loc > cs else cs
             present += 1
-            prev_key, prev_loc = key, loc
+            prev_index, prev_loc = index, loc
         omitted = growth_months - len(ratios)
         if omitted:
             logger.debug(

@@ -182,6 +182,17 @@ class TestAnalyze:
         assert f"{tmp_path / 'facts.csv'}:3:" in err
         assert "Traceback" not in err
 
+    def test_loc_beyond_float_range_is_one_malformed_row(self, tmp_path, capsys):
+        copy_corpus(tmp_path)
+        facts = tmp_path / "facts.csv"
+        text = facts.read_text(encoding="utf-8")
+        huge = "1" + "0" * 400
+        facts.write_text(text.replace("echo,2012,12,363,", f"echo,2012,12,{huge},"), encoding="utf-8")
+        assert main(analyze_args(tmp_path)) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"baserates: WARNING: {facts}:55: size fields must not exceed 2**53 in magnitude"
+        ]
+
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         copy_corpus(tmp_path)
         argv = analyze_args(tmp_path, metadata=str(tmp_path / "absent.jsonl"))

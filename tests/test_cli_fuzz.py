@@ -1,9 +1,9 @@
 """Fuzzing ``cli.main``: mutated inputs end in a documented exit code, never a traceback.
 
 ``analyze`` runs on the corpus files with flipped bytes, cut, repeated or
-dropped rows, a huge field, a BOM, NULs and lines that are not JSON or
-not facts; ``count`` runs with a registry mutated byte by byte or node by
-node. Each test takes a few seconds.
+dropped rows, a huge field, a cell of many digits, a BOM, NULs and lines
+that are not JSON or not facts; ``count`` runs with a registry mutated
+byte by byte or node by node. Each test takes a few seconds.
 """
 
 from __future__ import annotations
@@ -39,6 +39,13 @@ STRAY_LINES = [
     b"zulu,2011,1,1,1,1",
     b'"unclosed,2011',
 ]
+
+# Cells of digits alone around the 2**53 size bound and far past float
+# range, up to int()'s 4,300-digit limit.
+HUGE_DIGITS = st.one_of(
+    st.sampled_from([str(2**53), str(2**53 + 1), "9" * 16, "1" + "0" * 400]),
+    st.integers(17, 4300).map(lambda n: "9" * n),
+).map(str.encode)
 
 REGISTRY = {
     "languages": [
@@ -76,7 +83,7 @@ def mutated(draw, data: bytes) -> bytes:
         row = draw(st.integers(0, len(lines) - 1))
         at = draw(st.integers(0, len(data)))
         kind = draw(st.sampled_from(
-            ["flip", "cut", "repeat", "drop", "huge", "bom", "nul", "stray"]
+            ["flip", "cut", "repeat", "drop", "huge", "digits", "bom", "nul", "stray"]
         ))
         if kind == "flip" and data:
             at = min(at, len(data) - 1)
@@ -93,6 +100,11 @@ def mutated(draw, data: bytes) -> bytes:
             data = b"\n".join(lines)
         elif kind == "huge":
             data = data[:at] + b"x" * 200_000 + data[at:]
+        elif kind == "digits":
+            cells = lines[row].split(b",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(HUGE_DIGITS)
+            lines[row] = b",".join(cells)
+            data = b"\n".join(lines)
         elif kind == "bom":
             data = b"\xef\xbb\xbf" + data
         elif kind == "nul":

@@ -13,7 +13,6 @@ from baserates.facts import (
     ProjectMeta,
     SizeRecord,
     join_facts,
-    previous_month,
 )
 
 
@@ -47,11 +46,6 @@ class TestFactKey:
     def test_rejects_invalid_fields(self, project, year, month):
         with pytest.raises(ValueError):
             FactKey(project, year, month)
-
-
-def test_previous_month_crosses_year_boundary():
-    assert previous_month(2010, 1) == (2009, 12)
-    assert previous_month(2010, 6) == (2010, 5)
 
 
 class TestEnlistmentIsSvn:

@@ -60,6 +60,18 @@ def test_pipeline_matches_generator_ground_truth(gen, tmp_path, shape, projects,
     assert report.to_dict() == sidecar["validation"]
 
 
+@pytest.mark.parametrize("shape", ["LONG", "WIDE"])
+def test_read_facts_reads_benchmark_inputs_as_csv_reader_does(gen, tmp_path, shape):
+    gen.write_facts_inputs(tmp_path, 7, getattr(gen, shape))
+    path = tmp_path / "facts.csv"
+    plain = repr(read_facts(path))
+    # Quoting the first data row's name hands the rest of the file to csv.reader.
+    header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
+    name, cells = first.split(",", 1)
+    path.write_text(f'{header}\n"{name}",{cells}\n{rest}', encoding="utf-8")
+    assert repr(read_facts(path)) == plain
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("source", ["corpus", "wide"])
 def test_results_do_not_depend_on_input_order(gen, tmp_path, source, seed):

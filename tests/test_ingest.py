@@ -249,6 +249,120 @@ class TestReadFacts:
         with pytest.raises(IngestError):
             read_facts(path)
 
+    @pytest.mark.parametrize(
+        "loc,reason",
+        [
+            (2**53, None),
+            (-(2**53), None),
+            (2**53 + 1, "size fields must not exceed 2**53 in magnitude"),
+            (-(2**53) - 1, "size fields must not exceed 2**53 in magnitude"),
+            (10**400, "size fields must not exceed 2**53 in magnitude"),
+        ],
+    )
+    def test_size_beyond_2_53_is_malformed(self, tmp_path, loc, reason):
+        path = tmp_path / "facts.csv"
+        write_lines(path, HEADER, f"p,2012,1,{loc},1,1,1,1,1,1", "p,2012,2,1,1,1,1,1,1,1")
+        size, _, report = read_facts(path)
+        assert [(m.line, m.reason) for m in report.malformed] == ([(2, reason)] if reason else [])
+        assert [record.loc for record in size] == ([loc] if reason is None else []) + [1]
+
+
+def read_both_ways(path, *lines):
+    """``read_facts`` on ``lines`` as given and with the first cell of the first one quoted.
+
+    The quoted cell hands every line to csv.reader, so the two results
+    differ if the plain-line path reads any line otherwise. Returns the
+    ``repr`` of the result, or the IngestError's text.
+    """
+    results = []
+    for first in (lines[0], '"' + lines[0].replace(",", '",', 1)):
+        write_lines(path, HEADER, first, *lines[1:])
+        try:
+            results.append(repr(read_facts(path)))
+        except IngestError as exc:
+            results.append(f"IngestError: {exc}")
+    assert results[0] == results[1]
+    return results[0]
+
+
+def read_facts_of(tmp_path, *lines):
+    path = tmp_path / "facts.csv"
+    write_lines(path, HEADER, *lines)
+    return read_facts(path)
+
+
+class TestPlainLines:
+    """Lines without '"', '\\r' or NUL that csv.reader would split on commas alone."""
+
+    @pytest.mark.parametrize("value", [" 7", "+5", "1_000", "٣", "-0", "007", "0", "x", ""])
+    @pytest.mark.parametrize("column", range(1, 10))
+    def test_odd_integers_read_as_csv_reads_them(self, tmp_path, value, column):
+        cells = ["p", "2012", "6", "9", "8", "7", "6", "5", "4", "3"]
+        cells[column] = value
+        read_both_ways(tmp_path / "facts.csv", ",".join(cells), "p,2012,7,1,1,1,1,1,1,1")
+
+    @pytest.mark.parametrize("digits", [15, 16])
+    @pytest.mark.parametrize("column", range(3, 10))
+    def test_long_counts_read_as_csv_reads_them(self, tmp_path, digits, column):
+        cells = ["p", "2012", "6", "9", "8", "7", "6", "5", "4", "3"]
+        cells[column] = "1" * digits  # below 2**53 either way
+        result = read_both_ways(tmp_path / "facts.csv", ",".join(cells))
+        assert f"={'1' * digits}" in result and "malformed=[]" in result
+
+    def test_records_hold_every_check_of_their_constructors(self, tmp_path):
+        big = 10**15 - 1
+        size, activity, report = read_facts_of(
+            tmp_path,
+            "p,1950,1,0,0,0,0,0,0,0",
+            f"p,1950,12,-{big},{big},{big},{big},{big},{big},{big}",
+            "q,9999,6,1,1,1,1,1,1,1",
+            "p,1949,12,1,1,1,1,1,1,1",
+            "p,2012,0,1,1,1,1,1,1,1",
+            "p,2012,13,1,1,1,1,1,1,1",
+        )
+        assert len(size) == len(activity) == 3
+        for record in size:
+            assert SizeRecord(FactKey(*record.key), *record[1:]) == record
+        for record in activity:
+            assert ActivityRecord(FactKey(*record.key), *record[1:]) == record
+        assert [(m.line, m.reason) for m in report.malformed] == [
+            (5, "year 1949 precedes 1950"),
+            (6, "month 0 outside 1..12"),
+            (7, "month 13 outside 1..12"),
+        ]
+
+    @pytest.mark.parametrize("length", [131_071, 131_072, 131_073])
+    def test_name_at_the_csv_field_limit(self, tmp_path, length):
+        lines = ["p,2012,1,1,1,1,1,1,1,1", "x" * length + ",2012,1,1,1,1,1,1,1,1"]
+        result = read_both_ways(tmp_path / "facts.csv", *lines)
+        if length > 131_072:
+            assert result.startswith(f"IngestError: {tmp_path / 'facts.csv'}:3: unreadable CSV")
+        else:
+            assert "malformed=[]" in result
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x0b"])
+    def test_unicode_line_separators_do_not_split_a_line(self, tmp_path, char):
+        size, _, report = read_facts_of(
+            tmp_path, f"a{char}b,2012,1,1,1,1,1,1,1,1", "p,2012,13,1,1,1,1,1,1,1"
+        )
+        assert [record.key.project for record in size] == [f"a{char}b"]
+        assert [m.line for m in report.malformed] == [3]
+        read_both_ways(tmp_path / "facts.csv", f"a{char}b,2012,1,1,1,1,1,1,1,1")
+
+    @pytest.mark.parametrize(
+        "lines,last",
+        [
+            (["a\0b,2012,1,1,1,1,1,1,1,1", "p,2012,13,1,1,1,1,1,1,1"], 3),
+            (["p,2012,1,1,1,1,1,1,1,1\rp,2012,13,1,1,1,1,1,1,1", "p,2012,0,1,1,1,1,1,1,1"], 4),
+            (["p,2012,1,1,1,1,1,1,1,1", 'p,2012,2,"1\n\n",1,1,1,1,1,1', "p,2012,0,1,1,1,1,1,1,1"], 6),
+        ],
+        ids=["NUL", "lone-CR", "quoted-line-break"],
+    )
+    def test_line_numbers_after_a_line_for_csv_reader(self, tmp_path, lines, last):
+        _, _, report = read_facts_of(tmp_path, *lines)
+        assert report.malformed[-1].line == last
+        read_both_ways(tmp_path / "facts.csv", *lines)
+
 
 @pytest.mark.parametrize(
     "reader,first,line",

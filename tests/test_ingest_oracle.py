@@ -6,7 +6,10 @@ each row once and shared one name string per project. They test cells
 with ``all``/``any`` generators, build a set of project names after the
 last row, and serve here as the oracle: on any facts CSV the package
 must return records, counts and diagnostics with the same ``repr``, or
-raise the same ``IngestError``.
+raise the same ``IngestError``. Each generated file is read twice, as
+written and with every cell of its first row quoted: the quote hands the
+rest of the file to csv.reader, so both the plain-line path and the
+csv.reader path are held to the oracle.
 """
 
 from __future__ import annotations
@@ -175,6 +178,17 @@ FULL_ROWS = st.builds(
     half(3),
     half(4, ONE_NEGATIVE),
 )
+# Rows of digits alone, as most real rows are: the plain-line path takes
+# them, up to 15 digits a count and with year and month checked inline.
+PLAIN_COUNTS = st.one_of(st.integers(0, 10**6), st.sampled_from([10**15 - 1, 10**15]))
+PLAIN_ROWS = st.builds(
+    lambda project, year, month, size, activity: [project, year, month, *size, *activity],
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from([1949, 1950, 2011]),
+    st.integers(0, 13),
+    st.lists(st.one_of(PLAIN_COUNTS, st.integers(-(10**6), -1)), min_size=3, max_size=3),
+    st.lists(PLAIN_COUNTS, min_size=4, max_size=4),
+)
 # Rows of a project that appears nowhere else and is malformed every time:
 # it must not count among the projects read.
 GHOST_ROWS = st.sampled_from(
@@ -194,14 +208,24 @@ BLANK_ROWS = st.lists(
     st.sampled_from(["", " ", "\t", "\xa0", "　", " \xa0　 "]), max_size=10
 )
 ROWS = st.lists(
-    st.one_of(FULL_ROWS, FULL_ROWS, GHOST_ROWS, WRONG_WIDTH, BLANK_ROWS), max_size=30
+    st.one_of(FULL_ROWS, FULL_ROWS, GHOST_ROWS, WRONG_WIDTH, BLANK_ROWS, PLAIN_ROWS),
+    max_size=30,
 )
 
 
-def write_csv(path, rows, lineterminator) -> None:
+def write_csv(path, rows, lineterminator, quote_first=False) -> None:
+    """Write the header and ``rows``; ``quote_first`` quotes every cell of the first row.
+
+    A quoted cell hands the rest of the file to csv.reader, so that the
+    same rows are read without the plain-line path.
+    """
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator=lineterminator)
         writer.writerow(FACTS_HEADER)
+        if quote_first and rows:
+            quoted = csv.writer(handle, lineterminator=lineterminator, quoting=csv.QUOTE_ALL)
+            quoted.writerow(rows[0] or [""])  # a row of one empty cell is blank too
+            rows = rows[1:]
         writer.writerows(rows)
 
 
@@ -210,8 +234,9 @@ def write_csv(path, rows, lineterminator) -> None:
 def test_read_facts_matches_oracle(rows, lineterminator):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "facts.csv"
-        write_csv(path, rows, lineterminator)
-        assert outcome(ingest.read_facts, path) == outcome(read_facts, path)
+        for quote_first in (False, True):
+            write_csv(path, rows, lineterminator, quote_first)
+            assert outcome(ingest.read_facts, path) == outcome(read_facts, path)
 
 
 @pytest.mark.parametrize(

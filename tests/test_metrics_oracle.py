@@ -1,8 +1,8 @@
 """Differential tests of ``aggregate_all`` against the two-pass derivation.
 
-``derive_monthly_growth``, ``aggregate_years``, ``aggregate_all`` and
-``_product`` below are the metrics code the package used before it
-aggregated in one walk, unchanged except that the facts they take are
+``previous_month``, ``derive_monthly_growth``, ``aggregate_years``,
+``aggregate_all`` and ``_product`` below are the metrics code the package
+used before it aggregated in one walk, unchanged except that the facts they take are
 annotated as the ``SizeRecord``s they now are. They regroup each project
 twice and build one growth record per month, and serve here as the
 oracle: on any facts, under either policy, the package must return
@@ -23,13 +23,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baserates import metrics
-from baserates.facts import FactKey, SizeRecord, YearlyAggregate, previous_month
+from baserates.facts import FactKey, SizeRecord, YearlyAggregate
 from baserates.metrics import GROWTHLESS_POLICIES, GROWTHLESS_UNDEFINED, GROWTHLESS_ZERO
 from conftest import make_month
 
 logger = logging.getLogger(__name__)
 
 _LOG_SPACE_THRESHOLD = 6
+
+
+def previous_month(year: int, month: int) -> tuple[int, int]:
+    """Previous calendar month, crossing year boundaries: (Y, 1) -> (Y-1, 12)."""
+    if month == 1:
+        return year - 1, 12
+    return year, month - 1
 
 
 class MonthlyGrowth(NamedTuple):
