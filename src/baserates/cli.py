@@ -14,7 +14,9 @@ import logging
 import sys
 from pathlib import Path
 
-from . import ingest, metrics, report, sloc, stats, validate
+# The analyze-only modules load in run_analyze, so `count` never imports them;
+# metrics holds the policy names the parser and _SETTINGS need up front.
+from . import metrics, sloc
 from .facts import join_facts
 
 EXIT_OK = 0
@@ -167,16 +169,16 @@ def _cmd_analyze(args) -> int:
     return run_analyze(settings)
 
 
-def _observations(
-    metric: stats.Metric, aggregates, cutoff_year: int
-) -> tuple[list[stats.Observation], int]:
-    """Defined observations for one metric plus the count of undefined ones.
+def _observations(metric, aggregates, cutoff_year: int) -> tuple[list, int]:
+    """Defined ``stats.Observation``s for one metric plus the count of undefined ones.
 
     Code size is a snapshot of the cut-off year (the last complete year);
     the growth metrics span every project-year in the data set.
     """
+    from . import stats
+
     field = metric.name.lower()  # YearlyAggregate.cs, .cga or .cgi
-    observations: list[stats.Observation] = []
+    observations = []
     undefined = 0
     for aggregate in aggregates:
         if metric is stats.Metric.CS and aggregate.year != cutoff_year:
@@ -193,6 +195,8 @@ def _observations(
 
 def run_analyze(config: dict) -> int:
     """Ingest, validate, derive, summarize, and write all report artifacts."""
+    from . import ingest, report, stats, validate
+
     cutoff_year = config["cutoff_year"]
     try:
         metas, meta_report = ingest.read_metadata(config["metadata"])

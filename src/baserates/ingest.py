@@ -131,6 +131,9 @@ _PLAIN_ROW = re.compile(
     '([^,"\r\n\0]+)' + ",([0-9]{1,15})" * 2 + ",(-?[0-9]{1,15})" * 3 + ",([0-9]{1,15})" * 4 + "\n?"
 )
 
+# What int() parses: optional sign, Unicode digits grouped by single underscores.
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
 
 def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestReport]:
     """Read the canonical facts CSV into raw size and activity records.
@@ -218,6 +221,10 @@ def _parse_facts_row(row, names, size, activity) -> str | None:
         try:
             size_record = SizeRecord(key, int(loc), int(comments), int(blanks))
         except ValueError:
+            # int() refuses a well-formed cell only past its digit limit (4,300
+            # by default), which lies far beyond 2**53.
+            if all(map(_INTEGER.fullmatch, (loc, comments, blanks))):
+                return "size fields must not exceed 2**53 in magnitude"
             return "size fields must be integers"
         if max(map(abs, size_record[1:])) > 2**53:
             return "size fields must not exceed 2**53 in magnitude"

@@ -265,38 +265,58 @@ class TreeCount:
 def count_tree(root, registry) -> TreeCount:
     """Classify every registered file under ``root``, in sorted walk order.
 
-    Files with unregistered extensions are skipped and counted; files
-    that cannot be read or are not regular files (FIFOs, devices, sockets)
-    are recorded and left out of the totals.
+    A directory's files come before its subdirectories, each sorted by
+    name, and symlinked directories are not entered. Files with
+    unregistered extensions are skipped and counted; files that cannot
+    be read or are not regular files (FIFOs, devices, sockets), and
+    directories that cannot be listed, are recorded and left out of the
+    totals.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise NotADirectoryError(f"not a directory: {root}")
+    top = str(Path(root))
+    if not os.path.isdir(top):
+        raise NotADirectoryError(f"not a directory: {top}")
     by_extension = extension_map(registry)
+    # Paths stay strings: ``shown + relative`` is how ``Path(root) / relative`` prints.
+    sep = "" if top.endswith("/") else "/"
+    shown = "" if top == "." else top + sep
     result = TreeCount()
-    for dirpath, dirnames, filenames in os.walk(root):
+    per_language: dict[str, list[LineCounts]] = {}
+
+    def skip_directory(exc: OSError) -> None:
+        message = f"{Path(exc.filename)}: {exc.strerror or exc}"
+        result.unreadable.append(message)
+        logger.warning("skipping unreadable directory %s", message)
+
+    for dirpath, dirnames, filenames in os.walk(top, onerror=skip_directory):
         dirnames.sort()
+        relative_dir = dirpath[len(top) + len(sep):]
+        prefix = relative_dir + "/" if relative_dir else ""
         for filename in sorted(filenames):
-            path = Path(dirpath) / filename
-            syntax = by_extension.get(path.suffix.lower())
+            # PurePath.suffix: from the last dot, unless it leads or ends the name.
+            dot = filename.rfind(".")
+            suffix = filename[dot:].lower() if 0 < dot < len(filename) - 1 else ""
+            syntax = by_extension.get(suffix)
             if syntax is None:
                 result.skipped += 1
                 continue
+            relative = prefix + filename
             try:
-                counts = _read_and_classify(path, syntax)
+                counts = _read_and_classify(shown + relative, syntax)
             except OSError as exc:
-                message = f"{path}: {exc.strerror or exc}"
+                message = f"{shown}{relative}: {exc.strerror or exc}"
                 result.unreadable.append(message)
                 logger.warning("skipping unreadable file %s", message)
                 continue
-            result.files.append(
-                FileCount(path.relative_to(root).as_posix(), syntax.name, counts)
-            )
-            result.by_language[syntax.name] = (
-                result.by_language.get(syntax.name, LineCounts()) + counts
-            )
-            result.total = result.total + counts
+            result.files.append(FileCount(relative, syntax.name, counts))
+            per_language.setdefault(syntax.name, []).append(counts)
+    result.by_language = {name: _summed(counts) for name, counts in per_language.items()}
+    result.total = _summed(result.by_language.values())
     return result
+
+
+def _summed(counts) -> LineCounts:
+    """Column sums of ``counts`` (zeros for none)."""
+    return LineCounts(*map(sum, zip(*((c.code, c.comment, c.blank) for c in counts))))
 
 
 def snapshot_to_size_facts(project: str, snapshots, registry) -> list[SizeRecord]:

@@ -267,6 +267,33 @@ class TestReadFacts:
         assert [record.loc for record in size] == ([loc] if reason is None else []) + [1]
 
 
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    @pytest.mark.parametrize("column", range(3, 6))
+    def test_size_past_int_digit_limit_is_too_large(self, tmp_path, sign, digits, column):
+        # int() refuses more than 4,300 digits; the reason must not change there.
+        cells = ["p", "2012", "1", "1", "1", "1", "1", "1", "1", "1"]
+        cells[column] = sign + "9" * digits
+        path = tmp_path / "facts.csv"
+        write_lines(path, HEADER, ",".join(cells), "p,2012,2,1,1,1,1,1,1,1")
+        size, _, report = read_facts(path)
+        assert [(m.line, m.reason) for m in report.malformed] == [
+            (2, "size fields must not exceed 2**53 in magnitude")
+        ]
+        assert [record.loc for record in size] == [1]
+
+    @pytest.mark.parametrize(
+        "cell,reason",
+        [("9" * 4300, None), ("9" * 4301, "activity fields must be integers")],
+    )
+    def test_activity_past_int_digit_limit_is_not_an_integer(self, tmp_path, cell, reason):
+        # Activity counts have no magnitude bound, so only int()'s limit applies.
+        path = tmp_path / "facts.csv"
+        write_lines(path, HEADER, f"p,2012,1,1,1,1,{cell},1,1,1")
+        _, activity, report = read_facts(path)
+        assert [m.reason for m in report.malformed] == ([reason] if reason else [])
+        assert len(activity) == (0 if reason else 1)
+
 def read_both_ways(path, *lines):
     """``read_facts`` on ``lines`` as given and with the first cell of the first one quoted.
 

@@ -34,6 +34,45 @@ def test_every_exported_name_resolves():
     assert len(set(baserates.__all__)) == len(baserates.__all__)
 
 
+def test_unknown_name_raises_attribute_error():
+    assert not hasattr(baserates, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        baserates.no_such_name
+
+
+# Run in a fresh interpreter, so no other test has imported a module yet.
+FRESH_IMPORTS = """
+import sys
+from baserates import cli
+
+analyze = ["baserates." + name for name in ("ingest", "report", "stats", "validate")]
+cli.build_parser()
+print([name for name in analyze if name in sys.modules])
+code = cli.main(["count", "--root", sys.argv[1], "--out", sys.argv[2]])
+print(code, [name for name in analyze if name in sys.modules])
+
+import baserates
+print(sorted(set(baserates.__all__) - set(dir(baserates))))
+namespace = {}
+exec("from baserates import *", namespace)
+print(sorted(set(baserates.__all__) - set(namespace)))
+"""
+
+
+def test_count_loads_no_analyze_module(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORTS, str(SLOC_DIR), str(tmp_path / "counts.csv")],
+        cwd=tmp_path,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    # After build_parser, after count, then names missing from dir() and from `import *`.
+    assert result.stdout.splitlines() == ["[]", "0 []", "[]", "[]"]
+
+
 @pytest.fixture
 def bench_run(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -216,6 +217,25 @@ class TestCountTree:
         assert tree.by_language["hash"] == LineCounts(1, 1, 1)
         assert tree.total == LineCounts(2, 2, 1)
         assert [fc.path for fc in tree.files] == ["a.c", "sub/b.py"]
+
+    def test_unlistable_directory_is_recorded_with_a_warning(self, tmp_path, monkeypatch, caplog):
+        # Root lists any directory whatever its mode, so the denial is simulated.
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "a.c").write_text("int a;\n", encoding="utf-8")
+        (tmp_path / "sub" / "b.c").write_text("int b;\n", encoding="utf-8")
+        real_scandir = os.scandir
+
+        def scandir(path):
+            if os.path.basename(path) == "sub":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        with caplog.at_level("WARNING", logger="baserates.sloc"):
+            tree = count_tree(tmp_path, default_registry())
+        assert [fc.path for fc in tree.files] == ["a.c"]
+        assert tree.unreadable == [f"{tmp_path / 'sub'}: {os.strerror(errno.EACCES)}"]
+        assert f"skipping unreadable directory {tree.unreadable[0]}" in caplog.messages
 
     def test_invalid_utf8_is_replaced_not_fatal(self, tmp_path):
         (tmp_path / "odd.c").write_bytes(b"caf\xe9 = 1;\n")

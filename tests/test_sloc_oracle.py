@@ -1,23 +1,36 @@
-"""Differential tests of the line classifier against the per-character loop.
+"""Differential tests of the line classifier and the tree walk against frozen oracles.
 
 ``_classify_line`` and ``_match_at`` below are the classifier the package
 used before it masked whole texts. They step through a line one
 character at a time and serve here as the oracle: the classifier must
 give the same kind for every line, and so the same counts, on generated
-and on real text.
+and on real text. ``oracle_count_tree`` is the walk ``count_tree`` used
+before it built its paths as strings: one ``pathlib.Path`` per file.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from baserates.sloc import LanguageSyntax, LineCounts, classify_lines, default_registry
+from baserates.sloc import (
+    FileCount,
+    LanguageSyntax,
+    LineCounts,
+    TreeCount,
+    _read_and_classify,
+    classify_lines,
+    count_tree,
+    default_registry,
+    extension_map,
+)
 from conftest import SLOC_DIR
 
 REPO = Path(__file__).resolve().parent.parent
@@ -218,3 +231,95 @@ def test_real_sources_match_oracle(tmp_path, monkeypatch):
                 path,
                 syntax.name,
             )
+
+
+def oracle_count_tree(root, registry) -> TreeCount:
+    root = Path(root)
+    if not root.is_dir():
+        raise NotADirectoryError(f"not a directory: {root}")
+    by_extension = extension_map(registry)
+    result = TreeCount()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            path = Path(dirpath) / filename
+            syntax = by_extension.get(path.suffix.lower())
+            if syntax is None:
+                result.skipped += 1
+                continue
+            try:
+                counts = _read_and_classify(path, syntax)
+            except OSError as exc:
+                result.unreadable.append(f"{path}: {exc.strerror or exc}")
+                continue
+            result.files.append(
+                FileCount(path.relative_to(root).as_posix(), syntax.name, counts)
+            )
+            result.by_language[syntax.name] = (
+                result.by_language.get(syntax.name, LineCounts()) + counts
+            )
+            result.total = result.total + counts
+    return result
+
+
+# Names whose suffix rule is easy to get wrong, with spaces and beyond ASCII.
+TREE_NAMES = [
+    ".bashrc", "foo.", "..a", "a.tar.gz", "A.PY", "main.c", "x.H", ".c", "a..c",
+    "Makefile", "with space.c", "naïve.py", "日本語.md", "ünï côdé.TXT", "b.rs",
+]
+# A symlink to its own directory (entered, it would loop) and a dangling one.
+DIR_LINK, BROKEN_LINK = "dir-link", "broken-link"
+# Registers ".gz", ".a" and the empty suffix, which names without one get.
+EXTRA = LanguageSyntax(name="extra", extensions=(".gz", ".a", ""), line_comments=("#",))
+FILE_BYTES = st.lists(
+    st.sampled_from([b"int x;\n", b"// c\n", b"# h\n", b"\n", b"/* a\n", b"b */ y", b"\xff\r\n"]),
+    max_size=4,
+).map(b"".join)
+TREES = st.dictionaries(
+    st.sampled_from(TREE_NAMES),
+    st.recursive(
+        FILE_BYTES | st.sampled_from([DIR_LINK, BROKEN_LINK]),
+        lambda children: st.dictionaries(st.sampled_from(TREE_NAMES), children, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=6,
+)
+EVERY_KIND = {
+    **{name: b"int x;\n// c\n\n" for name in TREE_NAMES},
+    "sub dir": {"inner.c": b"/* a\nb */ y\n", "deeper": {"A.PY": b"# h\n"}, "up": DIR_LINK},
+    "link.c": BROKEN_LINK,
+    "linked": DIR_LINK,
+}
+
+
+def build_tree(directory: Path, tree: dict) -> None:
+    directory.mkdir()
+    for name, node in tree.items():
+        if isinstance(node, dict):
+            build_tree(directory / name, node)
+        elif node == DIR_LINK:
+            os.symlink(".", directory / name)
+        elif node == BROKEN_LINK:
+            os.symlink("missing-target", directory / name)
+        else:
+            (directory / name).write_bytes(node)
+
+
+@pytest.mark.parametrize("root_form", ["tree", "tree/", "./tree", "absolute", "."])
+@pytest.mark.parametrize(
+    "registry", [default_registry(), [*default_registry(), EXTRA]], ids=["default", "extra"]
+)
+@settings(max_examples=25, deadline=None)
+@given(tree=TREES)
+@example(tree=EVERY_KIND)
+def test_tree_walk_matches_pathlib_oracle(root_form, registry, tree):
+    with tempfile.TemporaryDirectory() as scratch:
+        base = Path(scratch)
+        build_tree(base / "tree", tree)
+        root = str(base / "tree") if root_form == "absolute" else root_form
+        cwd = os.getcwd()
+        os.chdir(base / "tree" if root_form == "." else base)
+        try:
+            assert count_tree(root, registry) == oracle_count_tree(root, registry)
+        finally:
+            os.chdir(cwd)
