@@ -14,9 +14,9 @@ import logging
 import sys
 from pathlib import Path
 
-# The analyze-only modules load in run_analyze, so `count` never imports them;
-# metrics holds the policy names the parser and _SETTINGS need up front.
-from . import metrics, sloc
+# Each command loads its own modules when it runs, so neither pays for the
+# other's; metrics holds the policy names the parser and _SETTINGS need up front.
+from . import metrics
 from .facts import join_facts
 
 EXIT_OK = 0
@@ -81,6 +81,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def _cmd_count(args) -> int:
+    from . import sloc
+
     try:
         registry = (
             sloc.load_registry(args.registry)
@@ -110,8 +112,8 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _write_count_csv(tree: sloc.TreeCount, handle) -> None:
-    """A row per file, then a total per language, then the overall total."""
+def _write_count_csv(tree, handle) -> None:
+    """A row per file of the ``sloc.TreeCount``, a total per language, then the overall total."""
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["path", "language", "code", "comment", "blank"])
     for path, language, counts in (
@@ -198,17 +200,26 @@ def run_analyze(config: dict) -> int:
     from . import ingest, report, stats, validate
 
     cutoff_year = config["cutoff_year"]
+    # Validation is the first stage to need metadata, so it is read once the
+    # raw fact lists are joined and dropped: the two inputs never peak together.
+    facts_error = None
     try:
-        metas, meta_report = ingest.read_metadata(config["metadata"])
         size, activity, facts_report = ingest.read_facts(config["facts"])
     except (OSError, ingest.IngestError) as exc:
-        return _fail(EXIT_IO, str(exc))
+        facts_error = str(exc)
+    else:
+        monthly, join_diagnostics = join_facts(size, activity)
+        del size, activity
+    try:
+        metas, meta_report = ingest.read_metadata(config["metadata"])
+    except (OSError, ingest.IngestError) as exc:
+        return _fail(EXIT_IO, str(exc))  # the metadata error wins if both fail
+    if facts_error is not None:
+        return _fail(EXIT_IO, facts_error)
 
     for rep in (meta_report, facts_report):
         for diag in rep.malformed:
             logger.warning("%s:%d: %s", diag.file, diag.line, diag.reason)
-
-    monthly, join_diagnostics = join_facts(size, activity)
     for diagnostic in join_diagnostics:
         logger.warning("%s", diagnostic)
 

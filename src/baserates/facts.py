@@ -15,7 +15,7 @@ _SVN_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Enlistment:
     """One registered source-code location; ``kind`` keeps the type string verbatim."""
 
@@ -27,7 +27,7 @@ class Enlistment:
         return self.kind.strip().lower() in _SVN_KINDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectMeta:
     """Project identity plus the version-control locations registered for it."""
 
@@ -95,7 +95,7 @@ class ActivityRecord(_ActivityRecord):
         return tuple.__new__(cls, (key, *counts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class YearlyAggregate:
     """Per project-year metrics; cga/cgi are None for years without growth evidence."""
 

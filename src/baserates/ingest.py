@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -34,7 +35,7 @@ class IngestError(Exception):
     """The file cannot be ingested at all (unreadable or wrong structure)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordDiagnostic:
     file: str
     line: int
@@ -71,6 +72,8 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
 
     Malformed lines are skipped and counted; a duplicate project name
     keeps the first record and counts the later one as malformed.
+    Project names and enlistment types are interned, so equal type
+    strings are one object and a name is the one ``read_facts`` gives.
     """
     report = IngestReport()
     metas: list[ProjectMeta] = []
@@ -117,11 +120,11 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
             or not isinstance(raw.get("url"), str)
         ):
             return None, "enlistment lacks a type or url string"
-        enlistments.append(Enlistment(raw["type"], raw["url"]))
+        enlistments.append(Enlistment(sys.intern(raw["type"]), raw["url"]))
     tags = [] if doc.get("tags") is None else doc["tags"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         return None, "tags must be a list of strings"
-    return ProjectMeta(name, tuple(enlistments), tuple(tags)), None
+    return ProjectMeta(sys.intern(name), tuple(enlistments), tuple(tags)), None
 
 
 # A plain line: a name, then nine counts of at most 15 digits (below
@@ -142,16 +145,19 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
     so the validator can reject and account for them, but a size beyond
     2**53 in magnitude, which a float may not hold exactly, is malformed.
     Rows and line numbers are those of csv.reader under the default
-    dialect. The records of one project share one name string.
+    dialect. The records of one project share one interned name string,
+    the one ``read_metadata`` gives, and the plain rows of one year share
+    one year ``int``.
     """
     size: list[SizeRecord] = []
     activity: list[ActivityRecord] = []
-    names: dict[str, str] = {}  # projects of the accepted rows, each name kept once
+    names: dict[str, str] = {}  # projects of the accepted rows, each name interned
+    years: dict[str, int] = {}  # year cells of plain rows, each parsed once
     malformed: list[RecordDiagnostic] = []
     records_read = 0
     path = Path(path)
     limit = csv.field_size_limit()  # a line no longer than this holds no longer field
-    new = tuple.__new__
+    new, intern = tuple.__new__, sys.intern
     with _open_utf8(path, newline="") as handle:
         reader, lineno = csv.reader(handle), 1
         try:
@@ -166,10 +172,11 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
                     # The pattern and this test hold every FactKey and ActivityRecord check.
                     (project, year, month, loc, comments, blanks,
                      added, removed, commits, contributors) = match.groups()
-                    year, month = int(year), int(month)
+                    year, month = years.get(year) or years.setdefault(year, int(year)), int(month)
                     if year >= MIN_YEAR and 1 <= month <= 12:
                         records_read += 1
-                        key = new(FactKey, (names.setdefault(project, project), year, month))
+                        name = names.get(project) or names.setdefault(project, intern(project))
+                        key = new(FactKey, (name, year, month))
                         size.append(new(SizeRecord, (key, int(loc), int(comments), int(blanks))))
                         counts = int(added), int(removed), int(commits), int(contributors)
                         activity.append(new(ActivityRecord, (key, *counts)))
@@ -204,7 +211,7 @@ def _parse_facts_row(row, names, size, activity) -> str | None:
     except ValueError:
         return "year and month must be integers"
     try:
-        key = FactKey(names.get(project, project), year, month)
+        key = FactKey(names.get(project) or sys.intern(project), year, month)
     except ValueError as exc:
         return str(exc)
 
@@ -239,7 +246,7 @@ def _parse_facts_row(row, names, size, activity) -> str | None:
             return str(exc)
     if has_size:  # kept only now that the activity half has parsed too
         size.append(size_record)
-    names.setdefault(project, project)
+    names.setdefault(project, key.project)
     return None
 
 

@@ -193,6 +193,49 @@ class TestAnalyze:
             f"baserates: WARNING: {facts}:55: size fields must not exceed 2**53 in magnitude"
         ]
 
+    def test_warnings_come_metadata_then_facts_then_duplicates(self, tmp_path, capsys):
+        copy_corpus(tmp_path)
+        metadata, facts = tmp_path / "metadata.jsonl", tmp_path / "facts.csv"
+        with metadata.open("a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        with facts.open("a", encoding="utf-8") as handle:
+            handle.write("alpha,2012,13,1,1,1,1,1,1,1\n")  # line 81
+            handle.write("alpha,2011,1,1000,100,40,,,,\n")  # a second size record
+        assert main(analyze_args(tmp_path)) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"baserates: WARNING: {metadata}:11: invalid JSON: Expecting value",
+            f"baserates: WARNING: {facts}:81: month 13 outside 1..12",
+            "baserates: WARNING: duplicate size record for 'alpha' at 2011-01; project rejected",
+        ]
+
+    def test_metadata_error_wins_when_both_inputs_fail(self, tmp_path, capsys):
+        copy_corpus(tmp_path)
+        for name in ("metadata.jsonl", "facts.csv"):
+            with (tmp_path / name).open("ab") as handle:
+                handle.write(b"caf\xe9\n")
+        assert main(analyze_args(tmp_path)) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"baserates: {tmp_path / 'metadata.jsonl'}:11: not UTF-8 text")
+        assert len(err.splitlines()) == 1 and "facts.csv" not in err
+
+    def test_metadata_is_read_after_the_facts_join(self, tmp_path, monkeypatch):
+        from baserates import ingest
+
+        copy_corpus(tmp_path)
+        calls = []
+
+        def recorded(name, inner):
+            def call(*args):
+                calls.append(name)
+                return inner(*args)
+
+            return call
+
+        for owner, name in ((ingest, "read_metadata"), (ingest, "read_facts"), (cli, "join_facts")):
+            monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+        assert main(analyze_args(tmp_path)) == EXIT_OK
+        assert calls == ["read_facts", "join_facts", "read_metadata"]
+
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         copy_corpus(tmp_path)
         argv = analyze_args(tmp_path, metadata=str(tmp_path / "absent.jsonl"))

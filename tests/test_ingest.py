@@ -7,7 +7,14 @@ import re
 
 import pytest
 
-from baserates.facts import ActivityRecord, FactKey, ProjectMeta, SizeRecord
+from baserates.facts import (
+    ActivityRecord,
+    Enlistment,
+    FactKey,
+    ProjectMeta,
+    SizeRecord,
+    YearlyAggregate,
+)
 from baserates.ingest import (
     FACTS_HEADER,
     IngestError,
@@ -465,3 +472,58 @@ class TestRoundTrip:
         write_facts([SizeRecord(key, 10, 1, 1)], [], path)
         size, _, report = read_facts(path)
         assert size[0].key == key and report.malformed_records == 0
+
+
+class TestSharedValues:
+    """A repeated value is one object, and the per-record types carry no ``__dict__``."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        git = '{"type": "GitRepository", "url": "https://example.org/%s.git"}'
+        write_lines(
+            tmp_path / "meta.jsonl",
+            '{"name": "proj", "enlistments": [%s, %s]}' % (git % "a", git % "b"),
+            '{"name": "other", "enlistments": [%s]}' % (git % "c"),
+        )
+        write_lines(
+            tmp_path / "facts.csv",
+            HEADER,
+            "proj,2012,1,1,1,1,1,1,1,1",
+            "proj,2012,2,1,1,1,1,1,1,1",
+            "other,2012,3,1,1,1,1,1,1,1",
+        )
+        return tmp_path / "meta.jsonl", tmp_path / "facts.csv"
+
+    def test_equal_enlistment_types_are_one_object(self, inputs):
+        metas, _ = read_metadata(inputs[0])
+        kinds = [e.kind for meta in metas for e in meta.enlistments]
+        assert kinds == ["GitRepository"] * 3
+        assert len({id(kind) for kind in kinds}) == 1
+
+    @pytest.mark.parametrize("metadata_first", [True, False])
+    def test_metadata_and_facts_share_a_project_name(self, inputs, metadata_first):
+        if metadata_first:
+            metas, _ = read_metadata(inputs[0])
+            size, activity, _ = read_facts(inputs[1])
+        else:
+            size, activity, _ = read_facts(inputs[1])
+            metas, _ = read_metadata(inputs[0])
+        by_name = {meta.name: meta for meta in metas}
+        for record in size + activity:
+            assert by_name[record.key.project].name is record.key.project
+
+    def test_plain_rows_of_one_year_share_the_year(self, inputs):
+        size, _, _ = read_facts(inputs[1])
+        assert len({id(record.key.year) for record in size}) == 1
+
+    def test_value_types_have_no_instance_dict(self, inputs):
+        metas, _ = read_metadata(inputs[0])
+        values = [
+            metas[0],
+            metas[0].enlistments[0],
+            YearlyAggregate("proj", 2012, 1, None, None, 0, 1),
+            RecordDiagnostic("facts.csv", 2, "bad row"),
+        ]
+        assert [type(v) for v in values[:2]] == [ProjectMeta, Enlistment]
+        for value in values:
+            assert not hasattr(value, "__dict__"), type(value).__name__

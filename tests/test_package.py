@@ -41,15 +41,16 @@ def test_unknown_name_raises_attribute_error():
 
 
 # Run in a fresh interpreter, so no other test has imported a module yet.
+# argv: the command to run; each command must load only its own modules.
 FRESH_IMPORTS = """
 import sys
 from baserates import cli
 
-analyze = ["baserates." + name for name in ("ingest", "report", "stats", "validate")]
+watched = ["baserates." + name for name in ("ingest", "report", "sloc", "stats", "validate")]
 cli.build_parser()
-print([name for name in analyze if name in sys.modules])
-code = cli.main(["count", "--root", sys.argv[1], "--out", sys.argv[2]])
-print(code, [name for name in analyze if name in sys.modules])
+print([name for name in watched if name in sys.modules])
+code = cli.main(sys.argv[1:])
+print(code, [name for name in watched if name in sys.modules])
 
 import baserates
 print(sorted(set(baserates.__all__) - set(dir(baserates))))
@@ -60,17 +61,41 @@ print(sorted(set(baserates.__all__) - set(namespace)))
 
 
 def test_count_loads_no_analyze_module(tmp_path):
-    result = subprocess.run(
-        [sys.executable, "-c", FRESH_IMPORTS, str(SLOC_DIR), str(tmp_path / "counts.csv")],
-        cwd=tmp_path,
-        env=child_env(),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    # After build_parser, after count, then names missing from dir() and from `import *`.
-    assert result.stdout.splitlines() == ["[]", "0 []", "[]", "[]"]
+    analyze = ["baserates." + name for name in ("ingest", "report", "stats", "validate")]
+    commands = {
+        "count": (
+            ["count", "--root", str(SLOC_DIR), "--out", str(tmp_path / "counts.csv")],
+            ["baserates.sloc"],
+        ),
+        # analyze never loads the line counter
+        "analyze": (
+            [
+                "analyze",
+                "--metadata",
+                str(CORPUS / "metadata.jsonl"),
+                "--facts",
+                str(CORPUS / "facts.csv"),
+                "--cutoff-year",
+                "2012",
+                "--out",
+                str(tmp_path / "out"),
+            ],
+            analyze,
+        ),
+    }
+    for command, (argv, loaded) in commands.items():
+        result = subprocess.run(
+            [sys.executable, "-c", FRESH_IMPORTS, *argv],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        # After build_parser, after the command, then names missing from dir()
+        # and from `import *`.
+        assert result.stdout.splitlines() == ["[]", f"0 {loaded}", "[]", "[]"], command
 
 
 @pytest.fixture
