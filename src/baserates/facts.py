@@ -127,23 +127,30 @@ def join_facts(
     def index(records, label):
         by_key = {}
         for record in records:
-            if record.key in by_key:
-                rejected.add(record.key.project)
+            key = record.key
+            if key in by_key:
+                rejected.add(key.project)
                 diagnostics.append(
-                    f"duplicate {label} record for {record.key.project!r} at "
-                    f"{record.key.year}-{record.key.month:02d}; project rejected"
+                    f"duplicate {label} record for {key.project!r} at "
+                    f"{key.year}-{key.month:02d}; project rejected"
                 )
             else:
-                by_key[record.key] = record
+                by_key[key] = record
         return by_key
 
     size_by_key = index(size, "size")
     activity_by_key = index(activity, "activity")
 
-    # Keys in input order, not hash order: Timsort is near-linear on a sorted CSV.
-    joined = [
-        size_by_key[key]
-        for key in sorted([key for key in size_by_key if key in activity_by_key])
-        if key.project not in rejected
-    ]
+    # The joined months of each project, in input order; a sorted file gives
+    # each project's months in order already, and then its sort is one pass.
+    by_project: dict[str, list[SizeRecord]] = {}
+    for key, record in size_by_key.items():
+        if key in activity_by_key:
+            by_project.setdefault(key.project, []).append(record)
+    joined: list[SizeRecord] = []
+    for project in sorted(by_project):
+        if project not in rejected:
+            months = by_project[project]
+            months.sort()  # keys are unique, so this orders by (year, month)
+            joined += months
     return joined, diagnostics

@@ -81,7 +81,7 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
     path = Path(path)
     with _open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.isspace():  # iteration yields no empty line
                 continue
             report.records_read += 1
             try:
@@ -109,22 +109,21 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         return None, "missing or empty project name"
-    raw_enlistments = [] if doc.get("enlistments") is None else doc["enlistments"]
-    if not isinstance(raw_enlistments, list):
+    raw_enlistments = doc.get("enlistments")
+    if raw_enlistments is not None and not isinstance(raw_enlistments, list):
         return None, "enlistments must be a list"
     enlistments = []
-    for raw in raw_enlistments:
-        if (
-            not isinstance(raw, dict)
-            or not isinstance(raw.get("type"), str)
-            or not isinstance(raw.get("url"), str)
-        ):
+    for raw in raw_enlistments or ():
+        kind, url = (raw.get("type"), raw.get("url")) if isinstance(raw, dict) else (None, None)
+        if not isinstance(kind, str) or not isinstance(url, str):
             return None, "enlistment lacks a type or url string"
-        enlistments.append(Enlistment(sys.intern(raw["type"]), raw["url"]))
-    tags = [] if doc.get("tags") is None else doc["tags"]
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        enlistments.append(Enlistment(sys.intern(kind), url))
+    tags = doc.get("tags")
+    if tags is not None and (
+        not isinstance(tags, list) or not all(isinstance(t, str) for t in tags)
+    ):
         return None, "tags must be a list of strings"
-    return ProjectMeta(sys.intern(name), tuple(enlistments), tuple(tags)), None
+    return ProjectMeta(sys.intern(name), tuple(enlistments), tuple(tags or ())), None
 
 
 # A plain line: a name, then nine counts of at most 15 digits (below

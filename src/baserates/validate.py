@@ -11,8 +11,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import asdict, dataclass
-from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable
 
 from .facts import ProjectMeta, SizeRecord
@@ -123,40 +122,43 @@ def validate_dataset(
     is empty and a warning is logged.
     """
     meta_by_name = {meta.name: meta for meta in metas}
-    monthly_facts = sorted(monthly_facts, key=attrgetter("key"))
-    facts_by_project = {
-        project: list(months)
-        for project, months in groupby(monthly_facts, key=attrgetter("key.project"))
-    }
+    monthly_facts = sorted(monthly_facts, key=itemgetter(0))  # by key
 
-    collected = sorted(meta_by_name.keys() | facts_by_project.keys())
-    remaining = []
-    rule1 = rule2 = 0
-    for project in collected:
-        if project not in meta_by_name or project not in facts_by_project:
-            rule1 += 1
-        elif not check_svn_enlistments(meta_by_name[project])[0]:
-            rule2 += 1
-        else:
-            remaining.append(project)
-
+    # One walk over the sorted facts, which reads a record's key as fact[0]
+    # and its loc as fact[1]: a project starts where the name changes, and
+    # a year where the year of a kept (non-negative) month changes.
     survivors: list[SizeRecord] = []
+    survive = survivors.append
+    rule1 = rule2 = remaining = 0
     months_before_rule3 = months_remaining = years_remaining = 0
     projects_after = years_after = 0
-    for project in remaining:
-        months = facts_by_project[project]
-        months_before_rule3 += len(months)
-        survived = False
-        for year, in_year in groupby(months, key=attrgetter("key.year")):
-            kept = [fact for fact in in_year if fact.loc >= 0]
-            if kept:
-                months_remaining += len(kept)
-                years_remaining += 1
-                if year <= cutoff_year:
-                    survivors += kept
-                    years_after += 1
-                    survived = True
-        projects_after += survived
+    project = year = None
+    for fact in monthly_facts:
+        key = fact[0]
+        if key[0] != project:
+            project, year, remains = key[0], None, False
+            if project not in meta_by_name:
+                rule1 += 1
+            elif not check_svn_enlistments(meta_by_name[project])[0]:
+                rule2 += 1
+            else:
+                remaining += 1
+                remains = True
+        if not remains:
+            continue
+        months_before_rule3 += 1
+        if fact[1] < 0:
+            continue
+        months_remaining += 1
+        if key[1] != year:
+            if key[1] <= cutoff_year:
+                years_after += 1
+                projects_after += year is None  # the project's first kept year
+            year = key[1]
+            years_remaining += 1
+        if year <= cutoff_year:
+            survive(fact)
+    rule1 += len(meta_by_name) - rule2 - remaining  # and the metadata without facts
 
     if monthly_facts and not survivors:
         logger.warning(
@@ -164,10 +166,10 @@ def validate_dataset(
         )
 
     report = ValidationReport(
-        projects_collected=len(collected),
+        projects_collected=rule1 + rule2 + remaining,
         excluded_missing_data=rule1,
         excluded_svn_config=rule2,
-        projects_remaining=len(remaining),
+        projects_remaining=remaining,
         months_before_rule3=months_before_rule3,
         excluded_negative_size=months_before_rule3 - months_remaining,
         months_remaining=months_remaining,

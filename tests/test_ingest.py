@@ -81,6 +81,30 @@ class TestReadMetadata:
             RecordDiagnostic(str(path), 2, "invalid JSON: nested too deeply")
         ]
 
+    # Lines around the blank-line skip and the not-an-object check.
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('\ufeff{"name": "a"}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ('{"name": "a"}\xa0', "invalid JSON: Extra data"),
+            ('\xa0{"name": "a"}', "invalid JSON: Expecting value"),
+            (' \t{"name": "a"} \t ', None),
+            ("5", "record is not a JSON object"),
+            ("null", "record is not a JSON object"),
+        ],
+        ids=["bom", "trailing-nbsp", "leading-nbsp", "json-whitespace", "number", "null"],
+    )
+    def test_json_diagnostics_are_those_of_json_loads(self, tmp_path, line, reason):
+        path = tmp_path / "meta.jsonl"
+        write_lines(path, '{"name": "ok"}', line)
+        metas, report = read_metadata(path)
+        assert report.records_read == 2
+        if reason is None:
+            assert [m.name for m in metas] == ["ok", "a"] and report.malformed == []
+        else:
+            assert [m.name for m in metas] == ["ok"]
+            assert report.malformed == [RecordDiagnostic(str(path), 2, reason)]
+
     def test_duplicate_name_keeps_first(self, tmp_path):
         path = tmp_path / "meta.jsonl"
         write_lines(

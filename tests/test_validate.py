@@ -137,6 +137,27 @@ class TestValidateDataset:
         assert report.projects_remaining == 2
         assert report.after_cutoff.projects == 1
 
+    # Kinds in odd case and padding, SVN or not.
+    SCREEN_KINDS = [" SVN ", "Subversion\t", "svnsync", "SvnSyncRepository", "GitRepository", "X"]
+
+    def test_each_kind_screens_as_is_svn_says(self):
+        unscoped, scoped = "http://svn.example.org/repo", "http://svn.example.org/repo/trunk"
+        # Two projects a kind, and one project mixing an SVN kind with another.
+        metas = [
+            ProjectMeta(f"p{i:02d}", (Enlistment(kind, unscoped),))
+            for i, kind in enumerate(self.SCREEN_KINDS * 2)
+        ]
+        metas.append(ProjectMeta("mixed", (Enlistment("X", unscoped), Enlistment(" SVN ", scoped))))
+        monthly = [make_month(meta.name, 2010, 1, 10) for meta in metas]
+        survivors, report = validate_dataset(metas, monthly, cutoff_year=2020)
+        passing = [
+            meta.name
+            for meta in metas
+            if not any(e.is_svn and e.url == unscoped for e in meta.enlistments)
+        ]
+        assert [fact.key.project for fact in survivors] == sorted(passing)
+        assert report.excluded_svn_config == 8  # four SVN kinds, twice
+
     def test_rule_order_independence_via_set_algebra(self):
         """Survivors equal the months of projects passing both project rules.
 
