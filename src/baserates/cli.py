@@ -89,7 +89,7 @@ def _cmd_count(args) -> int:
             if args.registry
             else sloc.default_registry()
         )
-    except (OSError, ValueError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return _fail(EXIT_IO, f"cannot load registry: {exc}")
     try:
         tree = sloc.count_tree(args.root, registry)
@@ -144,7 +144,8 @@ def _cmd_analyze(args) -> int:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 config = json.load(handle)
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, or an integer past int()'s limit
+        except (OSError, ValueError, RecursionError) as exc:
             return _fail(EXIT_IO, f"cannot load config: {exc}")
         if not isinstance(config, dict):
             return _fail(EXIT_IO, "config file must hold a JSON object")
@@ -182,6 +183,7 @@ def _observations(metric, aggregates, cutoff_year: int) -> tuple[list, int]:
     field = metric.name.lower()  # YearlyAggregate.cs, .cga or .cgi
     observations = []
     undefined = 0
+    new, observation = tuple.__new__, stats.Observation
     for aggregate in aggregates:
         if metric is stats.Metric.CS and aggregate.year != cutoff_year:
             continue
@@ -189,9 +191,7 @@ def _observations(metric, aggregates, cutoff_year: int) -> tuple[list, int]:
         if value is None:
             undefined += 1
         else:
-            observations.append(
-                stats.Observation(aggregate.project, aggregate.year, float(value))
-            )
+            observations.append(new(observation, (aggregate.project, aggregate.year, float(value))))
     return observations, undefined
 
 

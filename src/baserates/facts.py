@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 MIN_YEAR = 1950
@@ -15,8 +14,7 @@ _SVN_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Enlistment:
+class Enlistment(NamedTuple):
     """One registered source-code location; ``kind`` keeps the type string verbatim."""
 
     kind: str
@@ -27,17 +25,21 @@ class Enlistment:
         return self.kind.strip().lower() in _SVN_KINDS
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectMeta:
-    """Project identity plus the version-control locations registered for it."""
-
+class _ProjectMeta(NamedTuple):
     name: str
     enlistments: tuple[Enlistment, ...] = ()
     tags: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class ProjectMeta(_ProjectMeta):
+    """Project identity plus the version-control locations registered for it."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, enlistments=(), tags=()):
+        if not name:
             raise ValueError("project name must be non-empty")
+        return tuple.__new__(cls, (name, enlistments, tags))
 
 
 class _FactKey(NamedTuple):
@@ -95,8 +97,7 @@ class ActivityRecord(_ActivityRecord):
         return tuple.__new__(cls, (key, *counts))
 
 
-@dataclass(frozen=True, slots=True)
-class YearlyAggregate:
+class YearlyAggregate(NamedTuple):
     """Per project-year metrics; cga/cgi are None for years without growth evidence."""
 
     project: str

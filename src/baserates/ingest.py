@@ -11,9 +11,10 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .facts import MIN_YEAR, ActivityRecord, Enlistment, FactKey, ProjectMeta, SizeRecord
 
@@ -35,18 +36,21 @@ class IngestError(Exception):
     """The file cannot be ingested at all (unreadable or wrong structure)."""
 
 
-@dataclass(frozen=True, slots=True)
-class RecordDiagnostic:
+class RecordDiagnostic(NamedTuple):
     file: str
     line: int
     reason: str
 
 
-@dataclass
-class IngestReport:
-    projects_read: int = 0
-    records_read: int = 0
-    malformed: list[RecordDiagnostic] = field(default_factory=list)
+class IngestReport(SimpleNamespace):
+    """What one reader counted; the reader fills it in before returning it."""
+
+    def __init__(self, projects_read=0, records_read=0, malformed=None):
+        super().__init__(
+            projects_read=projects_read,
+            records_read=records_read,
+            malformed=[] if malformed is None else malformed,
+        )
 
     @property
     def malformed_records(self) -> int:
@@ -90,6 +94,9 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
                 reason = f"invalid JSON: {exc.msg}"
             except RecursionError:  # the decoder's nesting limit
                 reason = "invalid JSON: nested too deeply"
+            except ValueError:  # the one other: an integer past int()'s digit limit
+                limit = sys.get_int_max_str_digits()
+                reason = f"invalid JSON: integer longer than {limit} digits"
             else:
                 meta, reason = _parse_meta(doc)
                 if reason is None and meta.name in seen:
@@ -104,6 +111,8 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
 
 
 def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
+    # The checks below are the types' own, so their values are built as tuples.
+    new = tuple.__new__
     if not isinstance(doc, dict):
         return None, "record is not a JSON object"
     name = doc.get("name")
@@ -117,13 +126,13 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
         kind, url = (raw.get("type"), raw.get("url")) if isinstance(raw, dict) else (None, None)
         if not isinstance(kind, str) or not isinstance(url, str):
             return None, "enlistment lacks a type or url string"
-        enlistments.append(Enlistment(sys.intern(kind), url))
+        enlistments.append(new(Enlistment, (sys.intern(kind), url)))
     tags = doc.get("tags")
     if tags is not None and (
         not isinstance(tags, list) or not all(isinstance(t, str) for t in tags)
     ):
         return None, "tags must be a list of strings"
-    return ProjectMeta(sys.intern(name), tuple(enlistments), tuple(tags or ())), None
+    return new(ProjectMeta, (sys.intern(name), tuple(enlistments), tuple(tags or ()))), None
 
 
 # A plain line: a name, then nine counts of at most 15 digits (below

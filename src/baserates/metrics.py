@@ -69,6 +69,7 @@ def aggregate_all(
         raise ValueError(f"unknown growthless-year policy {policy!r}")
     no_cga, no_cgi = (0, 1.0) if policy == GROWTHLESS_ZERO else (None, None)
     aggregates: list[YearlyAggregate] = []
+    new = tuple.__new__  # a YearlyAggregate without the call to its generated __new__
     # One walk over the sorted facts: a year closes where the project or the
     # year changes, and the end marker closes the last one.
     project = year = prev_index = None  # prev_index: year*12+month
@@ -82,11 +83,10 @@ def aggregate_all(
                         "%s %d: %d undefined monthly ratio(s) omitted from the growth index",
                         project, year, omitted,
                     )
-                # Positional arguments: keywords cost a fifth of the constructor's time.
-                aggregates.append(YearlyAggregate(
+                aggregates.append(new(YearlyAggregate, (
                     project, year, cs, cga if growth_months else no_cga,
                     _product(ratios) if ratios else no_cgi, year - start_year, present,
-                ))
+                )))
             if name is None:  # the end marker
                 break
             if name != project:  # the first year of a project: no month precedes it

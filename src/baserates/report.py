@@ -8,7 +8,7 @@ identical inputs always yield byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .stats import BoxplotData, MetricSummary
 from .validate import ValidationReport, table_rows
@@ -16,15 +16,13 @@ from .validate import ValidationReport, table_rows
 NO_METRICS_NOTE = "no metrics computed"
 
 
-@dataclass(frozen=True)
-class MetricSection:
+class MetricSection(NamedTuple):
     summary: MetricSummary
     boxplot: BoxplotData
     undefined_excluded: int = 0
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     config: dict
     validation: ValidationReport
     sections: tuple[MetricSection, ...]

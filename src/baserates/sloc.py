@@ -26,9 +26,10 @@ import os
 import re
 import stat
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .facts import FactKey, SizeRecord
 
@@ -52,67 +53,72 @@ def _run_before(close: str, stops: str, escape: str = "") -> str:
     return f"{plain}(?:(?:{escape}(?!{re.escape(close)}){first}){plain}){_REPEAT}"
 
 
-@dataclass(frozen=True)
-class LanguageSyntax:
-    """Comment and string syntax for one language, keyed by file extension.
-
-    No delimiter may be empty or hold a line break, and no line comment,
-    block opener or string delimiter may start with whitespace.
-    """
-
+class _LanguageSyntax(NamedTuple):
     name: str
     extensions: tuple[str, ...]
     line_comments: tuple[str, ...] = ()
     block_comments: tuple[tuple[str, str], ...] = ()
     string_delimiters: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.extensions:
-            raise ValueError(f"language {self.name!r} declares no extensions")
-        delimiters = list(self.line_comments) + list(self.string_delimiters)
-        for open_delim, close_delim in self.block_comments:
+
+class LanguageSyntax(_LanguageSyntax):
+    """Comment and string syntax for one language, keyed by file extension.
+
+    No delimiter may be empty or hold a line break, and no line comment,
+    block opener or string delimiter may start with whitespace.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name, extensions, line_comments=(), block_comments=(), string_delimiters=()):
+        if not extensions:
+            raise ValueError(f"language {name!r} declares no extensions")
+        delimiters = list(line_comments) + list(string_delimiters)
+        for open_delim, close_delim in block_comments:
             delimiters += [open_delim, close_delim]
         if any(not d for d in delimiters):
-            raise ValueError(f"language {self.name!r} has an empty delimiter")
+            raise ValueError(f"language {name!r} has an empty delimiter")
         # Masking would match one across a line end, as no line-by-line reading can.
         if any("\n" in d or "\r" in d for d in delimiters):
-            raise ValueError(f"language {self.name!r} has a delimiter with a line break")
+            raise ValueError(f"language {name!r} has a delimiter with a line break")
         # An opener only ever starts at a non-whitespace character.
-        openers = [*self.line_comments, *self.string_delimiters]
-        openers += [open_delim for open_delim, _ in self.block_comments]
+        openers = [*line_comments, *string_delimiters]
+        openers += [open_delim for open_delim, _ in block_comments]
         if any(opener[0].isspace() for opener in openers):
             raise ValueError("a comment or string opener starts with whitespace")
-
-    @cached_property
-    def _tokens(self) -> re.Pattern | None:
-        """Comment and string regex whose ``split`` masks a text (see the module doc).
-
-        Alternatives start with their opener's literal, so ``re`` skips ahead
-        to the next possible opener; an opener listed twice keeps its first kind.
-        """
-        def block(close: str) -> str:
-            end = re.escape(close)
-            same_line, rest = _run_before(close, r"\n"), _run_before(close, "")
-            return rf"{same_line}(?:{end}|(\n)?{rest}(?:{end})?)"
-
-        def string(opener: str) -> str:
-            end = re.escape(opener)
-            # A backslash skips the next character on its line, so a closer
-            # led by a backslash never closes.
-            body = _run_before(opener, r"\\\n", escape=r"\\[^\n]?|")
-            return rf"(?<=({end})){body}(?:{end})?"
-
-        bodies = [
-            *((opener, r"[^\n]*") for opener in self.line_comments),
-            *((opener, block(close)) for opener, close in self.block_comments),
-            *((opener, string(opener)) for opener in self.string_delimiters),
-        ]
-        alternatives = [re.escape(opener) + body for opener, body in bodies]
-        return re.compile("|".join(alternatives)) if alternatives else None
+        return tuple.__new__(cls, (name, extensions, line_comments, block_comments, string_delimiters))
 
 
-@dataclass(frozen=True)
-class LineCounts:
+@lru_cache(maxsize=512)  # far more languages than a registry holds
+def _tokens(syntax: LanguageSyntax) -> re.Pattern | None:
+    """Comment and string regex whose ``split`` masks a text (see the module doc).
+
+    Alternatives start with their opener's literal, so ``re`` skips ahead
+    to the next possible opener; an opener listed twice keeps its first kind.
+    Equal syntaxes share one compiled regex.
+    """
+    def block(close: str) -> str:
+        end = re.escape(close)
+        same_line, rest = _run_before(close, r"\n"), _run_before(close, "")
+        return rf"{same_line}(?:{end}|(\n)?{rest}(?:{end})?)"
+
+    def string(opener: str) -> str:
+        end = re.escape(opener)
+        # A backslash skips the next character on its line, so a closer
+        # led by a backslash never closes.
+        body = _run_before(opener, r"\\\n", escape=r"\\[^\n]?|")
+        return rf"(?<=({end})){body}(?:{end})?"
+
+    bodies = [
+        *((opener, r"[^\n]*") for opener in syntax.line_comments),
+        *((opener, block(close)) for opener, close in syntax.block_comments),
+        *((opener, string(opener)) for opener in syntax.string_delimiters),
+    ]
+    alternatives = [re.escape(opener) + body for opener, body in bodies]
+    return re.compile("|".join(alternatives)) if alternatives else None
+
+
+class LineCounts(NamedTuple):
     code: int = 0
     comment: int = 0
     blank: int = 0
@@ -129,8 +135,7 @@ class LineCounts:
         )
 
 
-@dataclass(frozen=True)
-class FileCount:
+class FileCount(NamedTuple):
     """Classification result for one file."""
 
     path: str
@@ -147,7 +152,7 @@ def classify_lines(text: str, syntax: LanguageSyntax) -> LineCounts:
     if text and not text.endswith("\n"):
         physical += 1
     non_blank = len(_NON_BLANK.findall(text))
-    tokens = syntax._tokens
+    tokens = _tokens(syntax)
     masked = "".join(filter(None, tokens.split(text))) if tokens else text
     code = len(_NON_BLANK.findall(masked))
     return LineCounts(code, non_blank - code, physical - non_blank)
@@ -251,15 +256,17 @@ def _read_and_classify(path, syntax: LanguageSyntax) -> LineCounts:
     return classify_lines(data.decode("utf-8", errors="replace"), syntax)
 
 
-@dataclass
-class TreeCount:
+class TreeCount(SimpleNamespace):
     """Per-file counts plus per-language and overall totals for one tree walk."""
 
-    files: list[FileCount] = field(default_factory=list)
-    by_language: dict[str, LineCounts] = field(default_factory=dict)
-    total: LineCounts = LineCounts()
-    skipped: int = 0
-    unreadable: list[str] = field(default_factory=list)
+    def __init__(self, files=None, by_language=None, total=LineCounts(), skipped=0, unreadable=None):
+        super().__init__(
+            files=[] if files is None else files,
+            by_language={} if by_language is None else by_language,
+            total=total,
+            skipped=skipped,
+            unreadable=[] if unreadable is None else unreadable,
+        )
 
 
 def count_tree(root, registry) -> TreeCount:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 TUKEY_FENCE_FACTOR = 1.5
@@ -63,8 +62,7 @@ def _quartiles_and_fences(xs: Sequence[float]) -> tuple[float, ...]:
     return q1, _sorted_quantile(xs, 0.5), q3, q1 - spread, q3 + spread
 
 
-@dataclass(frozen=True)
-class MetricSummary:
+class MetricSummary(NamedTuple):
     """Median, dispersion, and outlier accounting for one metric."""
 
     metric: Metric
@@ -113,8 +111,7 @@ def summarize(observations: Sequence[Observation], metric: Metric) -> MetricSumm
     )
 
 
-@dataclass(frozen=True)
-class BoxplotData:
+class BoxplotData(NamedTuple):
     """Five-number summary with Tukey whiskers and the points beyond them."""
 
     q1: float

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import asdict, dataclass
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .facts import ProjectMeta, SizeRecord
 
@@ -48,15 +47,13 @@ def check_svn_enlistments(meta: ProjectMeta) -> tuple[bool, list[str]]:
     return not offending, offending
 
 
-@dataclass(frozen=True)
-class AfterCutoff:
+class AfterCutoff(NamedTuple):
     projects: int
     months: int
     years: int
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Counts of what each validation step removed and what remains."""
 
     projects_collected: int
@@ -70,7 +67,7 @@ class ValidationReport:
     after_cutoff: AfterCutoff
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "after_cutoff": self.after_cutoff._asdict()}
 
 
 def table_rows(report: ValidationReport) -> list[tuple[str, int]]:

@@ -193,6 +193,17 @@ class TestAnalyze:
             f"baserates: WARNING: {facts}:55: size fields must not exceed 2**53 in magnitude"
         ]
 
+    def test_integer_past_the_digit_limit_is_one_malformed_metadata_line(self, tmp_path, capsys):
+        copy_corpus(tmp_path)
+        metadata = tmp_path / "metadata.jsonl"
+        with metadata.open("a", encoding="utf-8") as handle:
+            handle.write('{"name": "zz", "tags": [%s]}\n' % ("9" * 5000))  # line 11
+        assert main(analyze_args(tmp_path)) == EXIT_OK
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err.splitlines() == [
+            f"baserates: WARNING: {metadata}:11: invalid JSON: integer longer than {limit} digits"
+        ]
+
     def test_warnings_come_metadata_then_facts_then_duplicates(self, tmp_path, capsys):
         copy_corpus(tmp_path)
         metadata, facts = tmp_path / "metadata.jsonl", tmp_path / "facts.csv"
@@ -340,15 +351,17 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "document,message",
         [
-            ("{broken", "cannot load config"),
-            ("[" * 100_000 + "]" * 100_000, "cannot load config"),
-            ("[]", "config file must hold a JSON object"),
+            (b"{broken", "cannot load config"),
+            (b"[" * 100_000 + b"]" * 100_000, "cannot load config"),
+            (b"[]", "config file must hold a JSON object"),
+            (b'{"cutoff_year": 2012, "x": "\xff"}', "cannot load config: 'utf-8' codec"),
+            (b'{"cutoff_year": %s}' % (b"9" * 5000), "cannot load config: Exceeds the limit"),
         ],
-        ids=["broken", "deeply-nested", "not-an-object"],
+        ids=["broken", "deeply-nested", "not-an-object", "not-utf-8", "digit-limit"],
     )
     def test_unloadable_config_is_io_error(self, tmp_path, capsys, document, message):
         config_path = tmp_path / "run.json"
-        config_path.write_text(document, encoding="utf-8")
+        config_path.write_bytes(document)
         assert main(["analyze", "--config", str(config_path)]) == EXIT_IO
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err

@@ -2,8 +2,10 @@
 
 ``analyze`` runs on the corpus files with flipped bytes, cut, repeated or
 dropped rows, a huge field, a cell of many digits, a BOM, NULs and lines
-that are not JSON or not facts; ``count`` runs with a registry mutated
-byte by byte or node by node. Each test takes a few seconds.
+that are not JSON or not facts, and sometimes with a ``--config`` file;
+a metadata line and the config may hold many digits or bytes that are
+not UTF-8. ``count`` runs with a registry mutated byte by byte or node by
+node. Each test takes a few seconds.
 """
 
 from __future__ import annotations
@@ -41,11 +43,23 @@ STRAY_LINES = [
 ]
 
 # Cells of digits alone around the 2**53 size bound and far past float
-# range, up to int()'s 4,300-digit limit.
+# range, up to and past int()'s default 4,300-digit limit.
 HUGE_DIGITS = st.one_of(
-    st.sampled_from([str(2**53), str(2**53 + 1), "9" * 16, "1" + "0" * 400]),
-    st.integers(17, 4300).map(lambda n: "9" * n),
+    st.sampled_from([str(2**53), str(2**53 + 1), "9" * 16, "1" + "0" * 400, "9" * 4301]),
+    st.integers(17, 4400).map(lambda n: "9" * n),
 ).map(str.encode)
+
+# JSON values at json.loads' edges: many digits, or a string whose bytes
+# are not UTF-8 (an invalid byte, a lone continuation byte, an overlong
+# form, an encoded surrogate).
+NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80"])
+EDGE_VALUES = HUGE_DIGITS | NOT_UTF8.map(lambda raw: b'"%s"' % raw)
+# No config, or one holding such a value under a setting's key or another.
+CONFIGS = st.none() | st.builds(
+    lambda key, value: b'{"%s": %s}' % (key, value),
+    st.sampled_from([b"cutoff_year", b"x"]),
+    EDGE_VALUES,
+)
 
 REGISTRY = {
     "languages": [
@@ -83,7 +97,7 @@ def mutated(draw, data: bytes) -> bytes:
         row = draw(st.integers(0, len(lines) - 1))
         at = draw(st.integers(0, len(data)))
         kind = draw(st.sampled_from(
-            ["flip", "cut", "repeat", "drop", "huge", "digits", "bom", "nul", "stray"]
+            ["flip", "cut", "repeat", "drop", "huge", "digits", "bom", "nul", "stray", "edge"]
         ))
         if kind == "flip" and data:
             at = min(at, len(data) - 1)
@@ -111,6 +125,9 @@ def mutated(draw, data: bytes) -> bytes:
             data = data[:at] + b"\x00" + data[at:]
         elif kind == "stray":
             lines.insert(row, draw(st.sampled_from(STRAY_LINES)))
+            data = b"\n".join(lines)
+        elif kind == "edge":
+            lines.insert(row, b'{"name": "zz", "tags": [%s]}' % draw(EDGE_VALUES))
             data = b"\n".join(lines)
     return data
 
@@ -146,18 +163,24 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     metadata=mutated((CORPUS / "metadata.jsonl").read_bytes()),
     facts=mutated((CORPUS / "facts.csv").read_bytes()),
     cutoff_year=st.sampled_from(["2012", "2011", "2000"]),
+    config=CONFIGS,
 )
-def test_analyze_on_mutated_corpus_exits_cleanly(metadata, facts, cutoff_year):
+def test_analyze_on_mutated_corpus_exits_cleanly(metadata, facts, cutoff_year, config):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "metadata.jsonl").write_bytes(metadata)
         (root / "facts.csv").write_bytes(facts)
+        config_args = []
+        if config is not None:
+            (root / "run.json").write_bytes(config)
+            config_args = ["--config", str(root / "run.json")]
         code, err = run_main([
             "analyze",
             "--metadata", str(root / "metadata.jsonl"),
             "--facts", str(root / "facts.csv"),
             "--cutoff-year", cutoff_year,
             "--out", str(root / "out"),
+            *config_args,
         ])
     assert code in (EXIT_OK, EXIT_IO, EXIT_EMPTY), err
     assert "Traceback" not in err

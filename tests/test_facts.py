@@ -167,5 +167,5 @@ def test_activity_record_rejects_negative_counts():
 
 
 def test_project_meta_requires_name():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^project name must be non-empty$"):
         ProjectMeta("")

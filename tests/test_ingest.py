@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -79,6 +80,17 @@ class TestReadMetadata:
         assert report.records_read == 3
         assert report.malformed == [
             RecordDiagnostic(str(path), 2, "invalid JSON: nested too deeply")
+        ]
+
+    def test_integer_past_the_digit_limit_is_malformed(self, tmp_path):
+        path = tmp_path / "meta.jsonl"
+        limit = sys.get_int_max_str_digits()
+        write_lines(path, '{"name": "a", "tags": [%s]}' % ("9" * (limit + 1)), '{"name": "b"}')
+        metas, report = read_metadata(path)
+        assert [m.name for m in metas] == ["b"]
+        assert report.records_read == 2
+        assert report.malformed == [
+            RecordDiagnostic(str(path), 1, f"invalid JSON: integer longer than {limit} digits")
         ]
 
     # Lines around the blank-line skip and the not-an-object check.
