@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .facts import SizeRecord, YearlyAggregate
 
@@ -23,26 +22,11 @@ GROWTHLESS_UNDEFINED = "undefined"
 GROWTHLESS_ZERO = "zero"
 GROWTHLESS_POLICIES = (GROWTHLESS_UNDEFINED, GROWTHLESS_ZERO)
 
-# Beyond this many factors the product is accumulated in log space to
-# avoid drift on long sequences.
-_LOG_SPACE_THRESHOLD = 6
-
 # Ends aggregate_all's walk: its project, None, is no fact's, so the last year
 # closes, and its year, 0, is not the walk's start, so an empty walk ends too.
 _END = ((None, 0, 0), 0, 0, 0)
 
 AGGREGATES_HEADER = ["project", "year", "cs", "cga", "cgi", "age", "months_present"]
-
-
-def _product(factors: Sequence[float]) -> float:
-    if any(factor == 0 for factor in factors):
-        return 0.0
-    if len(factors) > _LOG_SPACE_THRESHOLD:
-        return math.exp(math.fsum(math.log(factor) for factor in factors))
-    result = 1.0
-    for factor in factors:
-        result *= factor
-    return result
 
 
 def aggregate_all(
@@ -54,8 +38,8 @@ def aggregate_all(
     that month is present: by the line difference, and by the line ratio
     unless the previous month had zero lines. Per project-year, cs is the
     maximum monthly line count, cga the sum of the growth differences,
-    cgi the product of the defined ratios in month order, and age the
-    distance to the project's first year.
+    cgi the product of the defined ratios, computed exactly and rounded
+    once, and age the distance to the project's first year.
 
     Years without any growth month distinguish "no evidence" from "no
     change": under the "undefined" policy cga and cgi are None, under
@@ -77,7 +61,7 @@ def aggregate_all(
     for (name, next_year, month), loc, _, _ in chain(sorted(facts, key=itemgetter(0)), [_END]):
         if next_year != year or name != project:
             if present:
-                omitted = growth_months - len(ratios)
+                omitted = growth_months - ratios
                 if omitted:
                     logger.debug(
                         "%s %d: %d undefined monthly ratio(s) omitted from the growth index",
@@ -85,13 +69,14 @@ def aggregate_all(
                     )
                 aggregates.append(new(YearlyAggregate, (
                     project, year, cs, cga if growth_months else no_cga,
-                    _product(ratios) if ratios else no_cgi, year - start_year, present,
+                    num / den if ratios else no_cgi, year - start_year, present,
                 )))
             if name is None:  # the end marker
                 break
             if name != project:  # the first year of a project: no month precedes it
                 project, start_year, prev_index = name, next_year, None
-            year, cs, cga, present, growth_months, ratios = next_year, 0, 0, 0, 0, []
+            year, cs, cga, present, growth_months = next_year, 0, 0, 0, 0
+            ratios, num, den = 0, 1, 1  # the defined ratios: their count, num / den their product
         index = year * 12 + month
         if index == prev_index:
             raise ValueError(f"duplicate month {(year, month)} for project {project!r}")
@@ -101,7 +86,9 @@ def aggregate_all(
             growth_months += 1
             cga += loc - prev_loc
             if prev_loc != 0:
-                ratios.append(loc / prev_loc)
+                ratios += 1
+                num *= loc
+                den *= prev_loc
         cs = loc if loc > cs else cs
         present += 1
         prev_index, prev_loc = index, loc

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import gc
 import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,55 @@ def child_env() -> dict[str, str]:
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
     )
     return env
+
+
+GOLDEN_FILES = [
+    "report.txt",
+    "report.json",
+    "yearly_aggregates.csv",
+    "boxplot_cs.svg",
+    "boxplot_cga.svg",
+    "boxplot_cgi.svg",
+]
+
+
+def run_pipeline(workdir, hash_seed=None, python=sys.executable):
+    """Run `python -m baserates analyze` on a copy of the corpus in workdir.
+
+    The copy gives the run stable relative paths, which the config echo in
+    report.txt and report.json records. `hash_seed`, when given, pins the
+    child's PYTHONHASHSEED; `python` is the interpreter the child runs on.
+    """
+    workdir.mkdir(parents=True, exist_ok=True)
+    shutil.copy(CORPUS / "metadata.jsonl", workdir / "metadata.jsonl")
+    shutil.copy(CORPUS / "facts.csv", workdir / "facts.csv")
+    env = child_env()
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    result = subprocess.run(
+        [
+            python,
+            "-m",
+            "baserates",
+            "analyze",
+            "--metadata",
+            "metadata.jsonl",
+            "--facts",
+            "facts.csv",
+            "--cutoff-year",
+            "2012",
+            "--out",
+            "out",
+            "--svg",
+        ],
+        cwd=workdir,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return workdir / "out"
 
 
 # Hand-counted (code, comment, blank) for every line-classification fixture.

@@ -1,21 +1,27 @@
 """Differential tests of ``aggregate_all`` against the two-pass derivation.
 
-``previous_month``, ``derive_monthly_growth``, ``aggregate_years``,
-``aggregate_all`` and ``_product`` below are the metrics code the package
-used before it aggregated in one walk, unchanged except that the facts they take are
-annotated as the ``SizeRecord``s they now are. They regroup each project
-twice and build one growth record per month, and serve here as the
-oracle: on any facts, under either policy, the package must return
-aggregates with the same ``repr`` (so ``cgi`` is bit-identical), log the
-same debug lines, and raise ``ValueError`` where the oracle does.
+``previous_month``, ``derive_monthly_growth``, ``aggregate_years`` and
+``aggregate_all`` below are the metrics code the package used before it
+aggregated in one walk, with two changes: the facts they take are
+annotated as the ``SizeRecord``s they now are, and cgi is the exact
+reference rather than the old float product. Each monthly ratio is a
+``Fraction`` and a year's cgi is their product rounded once by
+``float()``, where the old code multiplied float ratios directly up to
+six factors and through ``exp(fsum(log(...)))`` beyond, a few ulps off.
+They regroup each project twice and build one growth record per month,
+and serve here as the oracle: on any facts, under either policy, the
+package must return aggregates with the same ``repr`` (so ``cgi`` is
+bit-identical to the exactly rounded product), log the same debug lines,
+and raise ``ValueError`` where the oracle does.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from collections import defaultdict
+from fractions import Fraction
 from itertools import groupby
+from math import prod
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,8 +34,6 @@ from baserates.metrics import GROWTHLESS_POLICIES, GROWTHLESS_UNDEFINED, GROWTHL
 from conftest import make_month
 
 logger = logging.getLogger(__name__)
-
-_LOG_SPACE_THRESHOLD = 6
 
 
 def previous_month(year: int, month: int) -> tuple[int, int]:
@@ -44,7 +48,7 @@ class MonthlyGrowth(NamedTuple):
 
     key: FactKey
     abs_growth: int
-    indexed_growth: float | None
+    indexed_growth: Fraction | None
 
 
 def derive_monthly_growth(facts: Sequence[SizeRecord]) -> list[MonthlyGrowth]:
@@ -73,20 +77,9 @@ def derive_monthly_growth(facts: Sequence[SizeRecord]) -> list[MonthlyGrowth]:
         prev = by_month.get(previous_month(fact.key.year, fact.key.month))
         if prev is None:
             continue
-        ratio = fact.loc / prev.loc if prev.loc != 0 else None
+        ratio = Fraction(fact.loc, prev.loc) if prev.loc != 0 else None
         growth.append(MonthlyGrowth(fact.key, fact.loc - prev.loc, ratio))
     return growth
-
-
-def _product(factors: Sequence[float]) -> float:
-    if any(factor == 0 for factor in factors):
-        return 0.0
-    if len(factors) > _LOG_SPACE_THRESHOLD:
-        return math.exp(math.fsum(math.log(factor) for factor in factors))
-    result = 1.0
-    for factor in factors:
-        result *= factor
-    return result
 
 
 def aggregate_years(
@@ -97,9 +90,9 @@ def aggregate_years(
     """Aggregate one project's facts into per-year metrics.
 
     Per year: cs is the maximum monthly line count, cga the sum of the
-    defined monthly absolute growth values, cgi the product of the
-    defined monthly ratios, and age the distance to the minimum year
-    present.
+    defined monthly absolute growth values, cgi the exact product of the
+    defined monthly ratios rounded once, and age the distance to the
+    minimum year present.
 
     Years without any growth month distinguish "no evidence" from "no
     change": under the "undefined" policy cga and cgi are None, under
@@ -140,7 +133,7 @@ def aggregate_years(
         else:
             cga = 0 if policy == GROWTHLESS_ZERO else None
         if ratios:
-            cgi: float | None = _product(ratios)
+            cgi: float | None = float(prod(ratios))
         else:
             cgi = 1.0 if policy == GROWTHLESS_ZERO else None
         aggregates.append(

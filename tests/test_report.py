@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import json
-import shutil
-import subprocess
-import sys
 
 import pytest
 
@@ -21,7 +18,7 @@ from baserates.report import (
 )
 from baserates.stats import Metric, Observation, boxplot_data, summarize
 from baserates.validate import AfterCutoff, ValidationReport, table_rows
-from conftest import CORPUS, GOLDEN, child_env
+from conftest import GOLDEN, GOLDEN_FILES, run_pipeline
 
 VALIDATION = ValidationReport(10, 2, 1, 7, 70, 1, 69, 11, AfterCutoff(6, 63, 8))
 CONFIG = {
@@ -171,55 +168,6 @@ class TestSvg:
     def test_deterministic(self):
         box = boxplot_data([1.0, 2.0, 3.0, 9.0])
         assert render_boxplot_svg(box, "t") == render_boxplot_svg(box, "t")
-
-
-GOLDEN_FILES = [
-    "report.txt",
-    "report.json",
-    "yearly_aggregates.csv",
-    "boxplot_cs.svg",
-    "boxplot_cga.svg",
-    "boxplot_cgi.svg",
-]
-
-
-def run_pipeline(workdir, hash_seed=None):
-    """Run `python -m baserates analyze` on a copy of the corpus in workdir.
-
-    The copy gives the run stable relative paths, which the config echo in
-    report.txt and report.json records. `hash_seed`, when given, pins the
-    child's PYTHONHASHSEED.
-    """
-    workdir.mkdir(parents=True, exist_ok=True)
-    shutil.copy(CORPUS / "metadata.jsonl", workdir / "metadata.jsonl")
-    shutil.copy(CORPUS / "facts.csv", workdir / "facts.csv")
-    env = child_env()
-    if hash_seed is not None:
-        env["PYTHONHASHSEED"] = str(hash_seed)
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "baserates",
-            "analyze",
-            "--metadata",
-            "metadata.jsonl",
-            "--facts",
-            "facts.csv",
-            "--cutoff-year",
-            "2012",
-            "--out",
-            "out",
-            "--svg",
-        ],
-        cwd=workdir,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    return workdir / "out"
 
 
 class TestGolden:
