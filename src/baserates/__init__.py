@@ -3,8 +3,8 @@
 The pipeline ingests monthly project facts, validates them against a
 small set of exclusion rules, derives yearly code-size and code-growth
 metrics, and reports robust summary statistics alongside base-rate
-posteriors. A line-classification counter produces size facts directly
-from source trees.
+posteriors. A line counter writes the code, comment and blank line
+counts of a source tree, per file and in total, as CSV.
 
 Each exported name loads its module on first use (PEP 562), so a caller
 that only counts lines never imports the analysis modules.
@@ -14,42 +14,27 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Every exported name and the module that defines it.
+# Every exported name and the module that defines it: the surface README
+# "Library use" lists, name for name. The CLI's own helpers stay importable
+# from their modules, unpromised.
 _EXPORTS = {
     **dict.fromkeys(
         ["ActivityRecord", "Enlistment", "FactKey", "ProjectMeta", "SizeRecord",
          "YearlyAggregate", "join_facts"],
         "facts",
     ),
-    **dict.fromkeys(
-        ["IngestError", "IngestReport", "read_facts", "read_metadata", "write_facts"],
-        "ingest",
-    ),
-    **dict.fromkeys(
-        ["GROWTHLESS_POLICIES", "GROWTHLESS_UNDEFINED", "GROWTHLESS_ZERO",
-         "aggregate_all", "write_aggregates_csv"],
-        "metrics",
-    ),
-    **dict.fromkeys(
-        ["Report", "build_report", "render_boxplot_svg", "render_json", "render_text"],
-        "report",
-    ),
+    **dict.fromkeys(["IngestError", "IngestReport", "read_facts", "read_metadata"], "ingest"),
+    **dict.fromkeys(["aggregate_all"], "metrics"),
     **dict.fromkeys(
         ["FileCount", "LanguageSyntax", "LineCounts", "TreeCount", "classify_lines",
-         "count_file", "count_tree", "default_registry", "load_registry",
-         "snapshot_to_size_facts"],
+         "count_file", "count_tree", "default_registry"],
         "sloc",
     ),
     **dict.fromkeys(
-        ["BoxplotData", "Metric", "MetricSummary", "Observation", "base_rate_posterior",
-         "boxplot_data", "quantile", "summarize", "tukey_fences"],
+        ["Metric", "MetricSummary", "Observation", "base_rate_posterior", "summarize"],
         "stats",
     ),
-    **dict.fromkeys(
-        ["SVN_URL_PATTERNS", "ValidationReport", "check_svn_enlistments",
-         "validate_dataset"],
-        "validate",
-    ),
+    **dict.fromkeys(["ValidationReport", "validate_dataset"], "validate"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -1,4 +1,4 @@
-"""Readers and writer for the canonical metadata (JSON lines) and facts (CSV) files.
+"""Readers for the canonical metadata (JSON lines) and facts (CSV) files.
 
 Parsing is strict per record and lenient per file: a malformed record is
 skipped and counted in the ingest report instead of aborting the run.
@@ -257,19 +257,3 @@ def _parse_facts_row(row, names, size, activity) -> str | None:
     names.setdefault(project, key.project)
     return None
 
-
-def write_facts(size, activity, path) -> None:
-    """Write records in the canonical CSV format, one row per project-month.
-
-    Months present in only one input get empty cells for the absent half,
-    so a write/read round trip preserves the record sets exactly.
-    """
-    size_by_key = {record.key: record for record in size}
-    activity_by_key = {record.key: record for record in activity}
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FACTS_HEADER)
-        for key in sorted(set(size_by_key) | set(activity_by_key)):
-            s = size_by_key[key][1:] if key in size_by_key else ("",) * 3
-            a = activity_by_key[key][1:] if key in activity_by_key else ("",) * 4
-            writer.writerow([*key, *s, *a])

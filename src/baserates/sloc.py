@@ -31,8 +31,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .facts import FactKey, SizeRecord
-
 logger = logging.getLogger(__name__)
 
 _NON_BLANK = re.compile(r"\S[^\n]*")
@@ -325,28 +323,3 @@ def _summed(counts) -> LineCounts:
     """Column sums of ``counts`` (zeros for none)."""
     return LineCounts(*map(sum, zip(*((c.code, c.comment, c.blank) for c in counts))))
 
-
-def snapshot_to_size_facts(project: str, snapshots, registry) -> list[SizeRecord]:
-    """One size record per (year, month, tree root) snapshot.
-
-    Snapshots must be strictly increasing in (year, month); a duplicate
-    or out-of-order month is an error.
-    """
-    records: list[SizeRecord] = []
-    last: tuple[int, int] | None = None
-    for year, month, root in snapshots:
-        if last is not None and (year, month) <= last:
-            raise ValueError(
-                f"snapshots must be strictly increasing; got {(year, month)} after {last}"
-            )
-        last = (year, month)
-        tree = count_tree(root, registry)
-        records.append(
-            SizeRecord(
-                FactKey(project, year, month),
-                tree.total.code,
-                tree.total.comment,
-                tree.total.blank,
-            )
-        )
-    return records

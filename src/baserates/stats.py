@@ -29,15 +29,6 @@ class Observation(NamedTuple):
     value: float
 
 
-def quantile(values: Sequence[float], p: float) -> float:
-    """Linear-interpolation quantile of ``values`` at fraction ``p``."""
-    if len(values) == 0:
-        raise ValueError("quantile of an empty sample")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"quantile fraction {p} outside [0, 1]")
-    return _sorted_quantile(sorted(values), p)
-
-
 def _sorted_quantile(xs: Sequence[float], p: float) -> float:
     h = (len(xs) - 1) * p
     lower = math.floor(h)
@@ -45,13 +36,6 @@ def _sorted_quantile(xs: Sequence[float], p: float) -> float:
     if fraction == 0.0:
         return float(xs[lower])
     return xs[lower] + fraction * (xs[lower + 1] - xs[lower])
-
-
-def tukey_fences(values: Sequence[float]) -> tuple[float, float]:
-    """(lower, upper) outlier fences at 1.5 IQR beyond the quartiles."""
-    if len(values) == 0:
-        raise ValueError("quantile of an empty sample")
-    return _quartiles_and_fences(sorted(values))[3:]
 
 
 def _quartiles_and_fences(xs: Sequence[float]) -> tuple[float, ...]:

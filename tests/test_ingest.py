@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 import re
 import sys
@@ -22,7 +23,6 @@ from baserates.ingest import (
     RecordDiagnostic,
     read_facts,
     read_metadata,
-    write_facts,
 )
 
 HEADER = ",".join(FACTS_HEADER)
@@ -457,6 +457,18 @@ def test_non_utf8_error_names_the_line(tmp_path, reader, first, line, newline):
 
 
 class TestRoundTrip:
+    def write(self, path, size, activity):
+        """Write records as facts rows, leaving an absent half's cells empty."""
+        size_by_key = {record.key: record[1:] for record in size}
+        activity_by_key = {record.key: record[1:] for record in activity}
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(FACTS_HEADER)
+            for key in sorted(size_by_key.keys() | activity_by_key.keys()):
+                writer.writerow(
+                    [*key, *size_by_key.get(key, ("",) * 3), *activity_by_key.get(key, ("",) * 4)]
+                )
+
     def random_records(self, rng):
         size, activity = [], []
         for project in ("apple", "pear", "plum"):
@@ -487,25 +499,26 @@ class TestRoundTrip:
         for round_number in range(5):
             size, activity = self.random_records(rng)
             path = tmp_path / f"roundtrip_{round_number}.csv"
-            write_facts(size, activity, path)
+            self.write(path, size, activity)
             size_back, activity_back, report = read_facts(path)
             assert report.malformed_records == 0
             assert set(size_back) == set(size)
             assert set(activity_back) == set(activity)
 
     def test_header_is_bit_exact(self, tmp_path):
-        path = tmp_path / "facts.csv"
-        write_facts([], [], path)
-        first_line = path.read_text(encoding="utf-8").splitlines()[0]
-        assert (
-            first_line
-            == "project,year,month,loc,comments,blanks,loc_added,loc_removed,commits,contributors"
+        readme_header = (
+            "project,year,month,loc,comments,blanks,loc_added,loc_removed,commits,contributors"
         )
+        assert HEADER == readme_header
+        path = tmp_path / "facts.csv"
+        path.write_text(readme_header + "\nproj,2012,1,10,1,1,,,,\n", encoding="utf-8")
+        size, activity, report = read_facts(path)
+        assert (len(size), activity, report.malformed_records) == (1, [], 0)
 
     def test_project_name_with_comma_survives(self, tmp_path):
         key = FactKey("odd, name", 2012, 1)
         path = tmp_path / "facts.csv"
-        write_facts([SizeRecord(key, 10, 1, 1)], [], path)
+        self.write(path, [SizeRecord(key, 10, 1, 1)], [])
         size, _, report = read_facts(path)
         assert size[0].key == key and report.malformed_records == 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import re
@@ -16,15 +17,47 @@ from conftest import CORPUS, SLOC_DIR, child_env
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "bench"
+SRC = Path(baserates.__file__).resolve().parent
 
 
 def test_readme_library_names_are_exported():
+    # README's import block is the promised surface, so an export or a
+    # deletion must update README.
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]
     imported = re.search(r"from baserates import \(([^)]*)\)", section).group(1)
-    names = [name.strip() for name in imported.split(",") if name.strip()]
-    assert names
-    assert set(names) <= set(baserates.__all__)
+    names = re.findall(r"\w+", re.sub(r"#.*", "", imported))
+    assert sorted(names) == baserates.__all__
+
+
+def test_every_public_function_is_exported_or_called():
+    # A public function that is neither promised nor used by the program is
+    # dead code, however many tests call it.
+    defs, uses = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs += [
+            (path.name, node)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name:
+                uses.append((path.name, node.lineno, name))
+    unused = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, node in defs
+        if node.name not in baserates.__all__
+        and not any(
+            name == node.name
+            and not (module == where and node.lineno <= line <= node.end_lineno)
+            for where, line, name in uses
+        )
+    ]
+    assert unused == []
 
 
 def test_every_exported_name_resolves():

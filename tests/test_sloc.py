@@ -13,8 +13,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from baserates.facts import FactKey
-from baserates.metrics import aggregate_all
 from baserates.sloc import (
     LanguageSyntax,
     LineCounts,
@@ -24,7 +22,6 @@ from baserates.sloc import (
     default_registry,
     extension_map,
     load_registry,
-    snapshot_to_size_facts,
 )
 from conftest import SLOC_DIR, SLOC_MANIFEST, child_env
 from test_sloc_oracle import physical_lines
@@ -354,63 +351,3 @@ class TestRegistry:
     def test_language_syntax_rejects_line_break_delimiters(self, delimiters):
         with pytest.raises(ValueError, match="line break|starts with whitespace"):
             LanguageSyntax("bad", (".x",), **delimiters)
-
-
-class TestSnapshots:
-    def make_tree(self, root, code_lines):
-        root.mkdir()
-        body = "".join(f"line_{i} = {i}\n" for i in range(code_lines))
-        (root / "gen.py").write_text(body + "# tail comment\n\n", encoding="utf-8")
-
-    def test_snapshots_become_size_records(self, tmp_path):
-        for index, code_lines in enumerate([100, 110, 121]):
-            self.make_tree(tmp_path / f"snap{index}", code_lines)
-        snapshots = [
-            (2012, 1, tmp_path / "snap0"),
-            (2012, 2, tmp_path / "snap1"),
-            (2012, 3, tmp_path / "snap2"),
-        ]
-        records = snapshot_to_size_facts("proj", snapshots, default_registry())
-        assert [r.loc for r in records] == [100, 110, 121]
-        assert [r.comments for r in records] == [1, 1, 1]
-        assert [r.blanks for r in records] == [1, 1, 1]
-        assert records[0].key == FactKey("proj", 2012, 1)
-
-    def test_snapshot_growth_feeds_metrics(self, tmp_path):
-        """Shared fixture with the metrics examples: 100 -> 110 -> 121 gives 1.21."""
-        for index, code_lines in enumerate([100, 110, 121]):
-            self.make_tree(tmp_path / f"snap{index}", code_lines)
-        records = snapshot_to_size_facts(
-            "proj",
-            [(2012, month, tmp_path / f"snap{month - 1}") for month in (1, 2, 3)],
-            default_registry(),
-        )
-        aggregate = aggregate_all(records)[0]
-        assert aggregate.cga == 21
-        assert aggregate.cgi == pytest.approx(1.21, rel=1e-12)
-        assert aggregate.cs == 121
-
-    def test_single_snapshot_yields_single_record(self, tmp_path):
-        self.make_tree(tmp_path / "only", 5)
-        records = snapshot_to_size_facts(
-            "proj", [(2012, 1, tmp_path / "only")], default_registry()
-        )
-        assert len(records) == 1
-
-    def test_duplicate_month_rejected(self, tmp_path):
-        self.make_tree(tmp_path / "snap", 3)
-        with pytest.raises(ValueError):
-            snapshot_to_size_facts(
-                "proj",
-                [(2012, 1, tmp_path / "snap"), (2012, 1, tmp_path / "snap")],
-                default_registry(),
-            )
-
-    def test_decreasing_months_rejected(self, tmp_path):
-        self.make_tree(tmp_path / "snap", 3)
-        with pytest.raises(ValueError):
-            snapshot_to_size_facts(
-                "proj",
-                [(2012, 2, tmp_path / "snap"), (2012, 1, tmp_path / "snap")],
-                default_registry(),
-            )

@@ -1,4 +1,8 @@
-"""Quantiles, summaries, boxplot data, and the base-rate posterior."""
+"""Quantiles, summaries, boxplot data, and the base-rate posterior.
+
+Quantiles are checked through the two functions that report them,
+``boxplot_data`` (q1, median, q3) and ``summarize`` (median, IQR).
+"""
 
 from __future__ import annotations
 
@@ -13,9 +17,7 @@ from baserates.stats import (
     Observation,
     base_rate_posterior,
     boxplot_data,
-    quantile,
     summarize,
-    tukey_fences,
 )
 
 
@@ -23,45 +25,52 @@ def observations(values, project="p"):
     return [Observation(f"{project}{i}", 2012, v) for i, v in enumerate(values)]
 
 
+def quartiles(values):
+    box = boxplot_data(values)
+    return box.q1, box.median, box.q3
+
+
+def fences(box):
+    spread = 1.5 * (box.q3 - box.q1)
+    return box.q1 - spread, box.q3 + spread
+
+
+def outlier_indices(values):
+    outliers = set(boxplot_data(values).outlier_values)
+    return {i for i, v in enumerate(values) if v in outliers}
+
+
 class TestQuantile:
     def test_even_count_median_interpolates(self):
-        assert quantile([1, 2, 3, 4], 0.5) == 2.5
+        assert boxplot_data([1, 2, 3, 4]).median == 2.5
 
     def test_singleton_any_fraction(self):
-        for p in (0.0, 0.25, 0.5, 1.0):
-            assert quantile([5], p) == 5.0
+        assert quartiles([5]) == (5.0, 5.0, 5.0)
 
     def test_first_quartile_of_eight(self):
         # h = (8-1)*0.25 + 1 = 2.75 on the 1-based sorted sample:
         # x2 + 0.75*(x3 - x2) = 2 + 0.75
-        assert quantile([1, 2, 3, 4, 5, 6, 7, 8], 0.25) == 2.75
-
-    def test_extremes(self):
-        values = [9, 1, 5]
-        assert quantile(values, 0.0) == 1.0
-        assert quantile(values, 1.0) == 9.0
+        assert boxplot_data([1, 2, 3, 4, 5, 6, 7, 8]).q1 == 2.75
 
     def test_unsorted_input_is_sorted_internally(self):
-        assert quantile([4, 1, 3, 2], 0.5) == 2.5
+        assert boxplot_data([4, 1, 3, 2]).median == 2.5
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            quantile([], 0.5)
-        with pytest.raises(ValueError):
-            tukey_fences([])
-
-    @pytest.mark.parametrize("p", [-0.1, 1.1])
-    def test_fraction_out_of_range_rejected(self, p):
-        with pytest.raises(ValueError):
-            quantile([1, 2], p)
+        with pytest.raises(ValueError, match="no defined observations for CGa"):
+            summarize([], Metric.CGA)
+        with pytest.raises(ValueError, match="no values to plot"):
+            boxplot_data([])
 
     def test_matches_reference_implementation(self):
         rng = random.Random(5)
         for _ in range(50):
             values = [rng.uniform(-1000, 1000) for _ in range(rng.randint(1, 200))]
-            p = rng.random()
-            expected = float(np.quantile(np.array(values), p, method="linear"))
-            assert quantile(values, p) == pytest.approx(expected, rel=1e-12, abs=1e-9)
+            q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75], method="linear")
+            summary = summarize(observations(values), Metric.CS)
+            assert quartiles(values) == pytest.approx((q1, median, q3), rel=1e-12, abs=1e-9)
+            assert (summary.median, summary.iqr) == pytest.approx(
+                (median, q3 - q1), rel=1e-12, abs=1e-9
+            )
 
 
 class TestSummarize:
@@ -130,21 +139,17 @@ class TestSummarize:
         for _ in range(10):
             a = math.exp(rng.uniform(-3, 3))
             b = rng.uniform(-1e6, 1e6)
-            low, high = tukey_fences(values)
-            base = {i for i, v in enumerate(values) if v < low or v > high}
             transformed = [a * v + b for v in values]
-            low_t, high_t = tukey_fences(transformed)
-            moved = {i for i, v in enumerate(transformed) if v < low_t or v > high_t}
-            assert base == moved
+            assert outlier_indices(values) == outlier_indices(transformed)
 
     def test_median_lies_between_quartiles_and_duplication_keeps_it_there(self):
         rng = random.Random(99)
         for _ in range(25):
             values = [rng.uniform(0, 100) for _ in range(rng.randint(2, 300))]
-            median = quantile(values, 0.5)
-            assert quantile(values, 0.25) <= median <= quantile(values, 0.75)
-            duplicated = values + [median]
-            assert quantile(duplicated, 0.25) <= median <= quantile(duplicated, 0.75)
+            q1, median, q3 = quartiles(values)
+            assert q1 <= median <= q3
+            q1, _, q3 = quartiles(values + [median])
+            assert q1 <= median <= q3
 
 
 class TestBoxplotData:
@@ -154,7 +159,7 @@ class TestBoxplotData:
         assert box.whisker_high == 100
         assert box.outlier_values == ()
         # brute-force fence check
-        low, high = tukey_fences(list(range(1, 101)))
+        low, high = fences(box)
         assert all(low <= v <= high for v in range(1, 101))
 
     def test_constant_values_collapse(self):
@@ -174,7 +179,7 @@ class TestBoxplotData:
             values = [rng.gauss(50, 20) for _ in range(rng.randint(5, 500))]
             box = boxplot_data(values)
             assert box.whisker_low <= box.q1 <= box.median <= box.q3 <= box.whisker_high
-            low, high = tukey_fences(values)
+            low, high = fences(box)
             assert all(v < low or v > high for v in box.outlier_values)
 
     def test_empty_rejected(self):
