@@ -117,37 +117,41 @@ def join_facts(
     Every metric reads only the size half, so the activity half is
     consulted for its keys alone. Months present in only one input are
     dropped. A duplicate key within either input rejects that whole
-    project; one diagnostic per duplicate, in input order, is returned
-    alongside the joined records. The inputs may come in any order; the
-    size records come back sorted by key, that is by (project, year,
-    month).
+    project; one diagnostic per duplicate, size records first, each in
+    input order, is returned alongside the joined records. The inputs may
+    come in any order; the size records come back sorted by key, that is
+    by (project, year, month).
     """
     rejected: set[str] = set()
     diagnostics: list[str] = []
 
-    def index(records, label):
-        by_key = {}
-        for record in records:
-            key = record.key
-            if key in by_key:
-                rejected.add(key.project)
-                diagnostics.append(
-                    f"duplicate {label} record for {key.project!r} at "
-                    f"{key.year}-{key.month:02d}; project rejected"
-                )
-            else:
-                by_key[key] = record
-        return by_key
+    def duplicate(label, key):
+        rejected.add(key.project)
+        diagnostics.append(
+            f"duplicate {label} record for {key.project!r} at "
+            f"{key.year}-{key.month:02d}; project rejected"
+        )
 
-    size_by_key = index(size, "size")
-    activity_by_key = index(activity, "activity")
-
-    # The joined months of each project, in input order; a sorted file gives
+    # One index for both inputs: a size record until an activity record joins
+    # it, then None, as for an activity-only key; meeting None is a duplicate.
+    by_key: dict[FactKey, SizeRecord | None] = {}
+    for record in size:
+        key = record.key
+        if key in by_key:
+            duplicate("size", key)
+        else:
+            by_key[key] = record
+    # The joined months of each project, in activity order; a sorted file gives
     # each project's months in order already, and then its sort is one pass.
     by_project: dict[str, list[SizeRecord]] = {}
-    for key, record in size_by_key.items():
-        if key in activity_by_key:
-            by_project.setdefault(key.project, []).append(record)
+    for record in activity:
+        key = record.key
+        month = by_key.get(key, False)  # False: a key not seen yet
+        by_key[key] = None
+        if month is None:
+            duplicate("activity", key)
+        elif month is not False:
+            by_project.setdefault(key.project, []).append(month)
     joined: list[SizeRecord] = []
     for project in sorted(by_project):
         if project not in rejected:

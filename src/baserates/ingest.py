@@ -136,10 +136,12 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
 
 
 # A plain line: a name, then nine counts of at most 15 digits (below
-# 2**53), signed only in the three sizes. It holds no '"', '\r' or NUL,
-# so csv.reader would split it on its commas alone.
+# 2**53), signed only in the three sizes; either half may be all empty. It
+# holds no '"', NUL or '\r' but in a closing "\r\n", so csv.reader would split
+# it on its commas alone.
 _PLAIN_ROW = re.compile(
-    '([^,"\r\n\0]+)' + ",([0-9]{1,15})" * 2 + ",(-?[0-9]{1,15})" * 3 + ",([0-9]{1,15})" * 4 + "\n?"
+    '([^,"\r\n\0]+)' + ",([0-9]{1,15})" * 2 + "(?:" + ",(-?[0-9]{1,15})" * 3 + "|,,,)"
+    + "(?:" + ",([0-9]{1,15})" * 4 + "|,,,,)\r?\n?(?<!\r)"
 )
 
 # What int() parses: optional sign, Unicode digits grouped by single underscores.
@@ -154,13 +156,22 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
     2**53 in magnitude, which a float may not hold exactly, is malformed.
     Rows and line numbers are those of csv.reader under the default
     dialect. The records of one project share one interned name string,
-    the one ``read_metadata`` gives, and the plain rows of one year share
-    one year ``int``.
+    the one ``read_metadata`` gives; the plain rows of one year share one
+    year ``int``, and their equal ``comments``, ``blanks``, ``loc_added``
+    and ``loc_removed`` cells of at most four characters one ``int``.
     """
     size: list[SizeRecord] = []
     activity: list[ActivityRecord] = []
     names: dict[str, str] = {}  # projects of the accepted rows, each name interned
     years: dict[str, int] = {}  # year cells of plain rows, each parsed once
+    shared: dict[str, int] = {}  # count cells of at most 4 characters, each parsed once
+
+    def share(cell: str) -> int:
+        # Most counts repeat, but CPython shares no int above 256.
+        value = int(cell)
+        if len(cell) < 5:
+            shared[cell] = value
+        return value
     malformed: list[RecordDiagnostic] = []
     records_read = 0
     path = Path(path)
@@ -177,22 +188,29 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
             for lineno, line in enumerate(handle, reader.line_num + 1):
                 match = _PLAIN_ROW.fullmatch(line) if len(line) <= limit else None
                 if match is not None:
-                    # The pattern and this test hold every FactKey and ActivityRecord check.
+                    # The pattern and this test hold every FactKey and ActivityRecord check,
+                    # and csv.reader gives a row with neither half its diagnostic.
                     (project, year, month, loc, comments, blanks,
                      added, removed, commits, contributors) = match.groups()
                     year, month = years.get(year) or years.setdefault(year, int(year)), int(month)
-                    if year >= MIN_YEAR and 1 <= month <= 12:
+                    if year >= MIN_YEAR and 1 <= month <= 12 and (loc or added):
                         records_read += 1
                         name = names.get(project) or names.setdefault(project, intern(project))
                         key = new(FactKey, (name, year, month))
-                        size.append(new(SizeRecord, (key, int(loc), int(comments), int(blanks))))
-                        counts = int(added), int(removed), int(commits), int(contributors)
-                        activity.append(new(ActivityRecord, (key, *counts)))
+                        if loc:
+                            comments = shared.get(comments) or share(comments)
+                            blanks = shared.get(blanks) or share(blanks)
+                            size.append(new(SizeRecord, (key, int(loc), comments, blanks)))
+                        if added:
+                            added = shared.get(added) or share(added)
+                            removed = shared.get(removed) or share(removed)
+                            counts = added, removed, int(commits), int(contributors)
+                            activity.append(new(ActivityRecord, (key, *counts)))
                         continue
                 # csv.reader reads any other line alone, but the first one with a
-                # '"', '\r' or NUL and the rest of the file together (which ends
-                # this loop), so a quoted line break keeps its line numbers.
-                special = '"' in line or "\r" in line or "\0" in line
+                # '"', NUL or lone '\r' (iteration ends a line at one) and the rest of
+                # the file together, so a quoted line break keeps its line numbers.
+                special = '"' in line or "\0" in line or line.endswith("\r")
                 reader = csv.reader(chain([line], handle) if special else [line])
                 for row in reader:
                     # str.strip drops the same Unicode whitespace cell by cell or joined.

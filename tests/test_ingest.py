@@ -6,6 +6,7 @@ import csv
 import random
 import re
 import sys
+from itertools import chain
 
 import pytest
 
@@ -28,8 +29,8 @@ from baserates.ingest import (
 HEADER = ",".join(FACTS_HEADER)
 
 
-def write_lines(path, *lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_lines(path, *lines, newline="\n"):
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
 
 
 class TestReadMetadata:
@@ -337,7 +338,7 @@ class TestReadFacts:
         assert [m.reason for m in report.malformed] == ([reason] if reason else [])
         assert len(activity) == (0 if reason else 1)
 
-def read_both_ways(path, *lines):
+def read_both_ways(path, *lines, newline="\n"):
     """``read_facts`` on ``lines`` as given and with the first cell of the first one quoted.
 
     The quoted cell hands every line to csv.reader, so the two results
@@ -346,7 +347,7 @@ def read_both_ways(path, *lines):
     """
     results = []
     for first in (lines[0], '"' + lines[0].replace(",", '",', 1)):
-        write_lines(path, HEADER, first, *lines[1:])
+        write_lines(path, HEADER, first, *lines[1:], newline=newline)
         try:
             results.append(repr(read_facts(path)))
         except IngestError as exc:
@@ -361,15 +362,37 @@ def read_facts_of(tmp_path, *lines):
     return read_facts(path)
 
 
-class TestPlainLines:
-    """Lines without '"', '\\r' or NUL that csv.reader would split on commas alone."""
+ODD_INTEGERS = [" 7", "+5", "1_000", "٣", "-0", "007", "0", "x", ""]
 
-    @pytest.mark.parametrize("value", [" 7", "+5", "1_000", "٣", "-0", "007", "0", "x", ""])
+
+class TestPlainLines:
+    """Lines without '"', NUL or a lone '\\r' that csv.reader would split on commas alone."""
+
+    @pytest.mark.parametrize("value", ODD_INTEGERS)
     @pytest.mark.parametrize("column", range(1, 10))
     def test_odd_integers_read_as_csv_reads_them(self, tmp_path, value, column):
         cells = ["p", "2012", "6", "9", "8", "7", "6", "5", "4", "3"]
         cells[column] = value
         read_both_ways(tmp_path / "facts.csv", ",".join(cells), "p,2012,7,1,1,1,1,1,1,1")
+
+    @pytest.mark.parametrize("value", ODD_INTEGERS)
+    def test_odd_integers_on_crlf_lines(self, tmp_path, value):
+        for column in range(1, 10):
+            cells = ["p", "2012", "6", "9", "8", "7", "6", "5", "4", "3"]
+            cells[column] = value
+            lines = ",".join(cells), "p,2012,7,1,1,1,1,1,1,1"
+            read_both_ways(tmp_path / "facts.csv", *lines, newline="\r\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_row_with_neither_half_after_half_rows(self, tmp_path, newline):
+        lines = ["p,2012,1,100,10,5,,,,", "p,2012,2,,,,20,5,2,1", "p,2012,3,,,,,,,"]
+        write_lines(tmp_path / "facts.csv", HEADER, *lines, newline=newline)
+        size, activity, report = read_facts(tmp_path / "facts.csv")
+        assert [r.key.month for r in size] == [1] and [r.key.month for r in activity] == [2]
+        assert [(m.line, m.reason) for m in report.malformed] == [
+            (4, "neither size nor activity fields present")
+        ]
+        read_both_ways(tmp_path / "facts.csv", *lines, newline=newline)
 
     @pytest.mark.parametrize("digits", [15, 16])
     @pytest.mark.parametrize("column", range(3, 10))
@@ -564,6 +587,25 @@ class TestSharedValues:
     def test_plain_rows_of_one_year_share_the_year(self, inputs):
         size, _, _ = read_facts(inputs[1])
         assert len({id(record.key.year) for record in size}) == 1
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_equal_short_counts_above_256_are_one_int(self, tmp_path, newline):
+        # int("1234") is a new object each time; the plain-line path keeps the
+        # first, also after a malformed line that csv.reader reads alone.
+        write_lines(
+            tmp_path / "facts.csv",
+            HEADER,
+            "p,2012,13,1,1,1,1,1,1,1",
+            "p,2012,1,5000,1234,1234,1234,1234,1,1",
+            "p,2012,2,5000,1234,1234,,,,",
+            "p,2012,3,,,,1234,1234,1,1",
+            "p,2012,4,5000,-999,-999,1,1,1,1",
+            newline=newline,
+        )
+        size, activity, _ = read_facts(tmp_path / "facts.csv")
+        counts = [r[2:] for r in size[:2]] + [r[1:3] for r in activity[:2]]
+        assert len({id(value) for value in chain.from_iterable(counts)}) == 1
+        assert size[2].comments is size[2].blanks == -999
 
     def test_value_types_have_no_instance_dict(self, inputs):
         metas, _ = read_metadata(inputs[0])

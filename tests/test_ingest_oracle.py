@@ -254,3 +254,39 @@ def test_unreadable_files_match_oracle(tmp_path, data):
     path = tmp_path / "facts.csv"
     path.write_bytes(data)
     assert outcome(ingest.read_facts, path) == outcome(read_facts, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=ROWS, data=st.data())
+def test_mixed_line_endings_match_oracle(rows, data):
+    endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(rows) + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "facts.csv"
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            for row, ending in zip([FACTS_HEADER, *rows], endings):
+                csv.writer(handle, lineterminator=ending).writerow(row)
+        assert outcome(ingest.read_facts, path) == outcome(read_facts, path)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "a,2011,13,1,2,3,4,5,6,7",
+        "a,2011,4,,,,,,,",
+        "a,2011,4,1,,3,4,5,6,7",
+        "a,2011,4,1,2,3,4,-5,6,7",
+        "a,2011,4",
+        'a,2011,4,"x",2,3,4,5,6,7',
+        "a,2011,13,1,2,3,4,5,6,7\rb,2011,4,1,2,3,4,5,6,7",
+    ],
+    ids=["month-13", "no-half", "partial-half", "negative", "short", "quoted", "lone-CR"],
+)
+def test_crlf_file_with_one_malformed_row_matches_oracle(tmp_path, bad):
+    # A last row with month 0 holds the line numbers after the bad one too.
+    rows = [f"a,2011,{month},1,2,3,4,5,6,7" for month in (1, 2, 3, 5, 0)]
+    lines = [",".join(FACTS_HEADER), *rows[:3], bad, *rows[3:]]
+    path = tmp_path / "facts.csv"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    result = outcome(ingest.read_facts, path)
+    assert result == outcome(read_facts, path)
+    assert "line=5" in result
