@@ -137,11 +137,11 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
 
 # A plain line: a name, then nine counts of at most 15 digits (below
 # 2**53), signed only in the three sizes; either half may be all empty. It
-# holds no '"', NUL or '\r' but in a closing "\r\n", so csv.reader would split
-# it on its commas alone.
+# holds no '"' or NUL, and '\r' only in its line ending, so csv.reader would
+# split it on its commas alone.
 _PLAIN_ROW = re.compile(
     '([^,"\r\n\0]+)' + ",([0-9]{1,15})" * 2 + "(?:" + ",(-?[0-9]{1,15})" * 3 + "|,,,)"
-    + "(?:" + ",([0-9]{1,15})" * 4 + "|,,,,)\r?\n?(?<!\r)"
+    + "(?:" + ",([0-9]{1,15})" * 4 + "|,,,,)\r?\n?"
 )
 
 # What int() parses: optional sign, Unicode digits grouped by single underscores.
@@ -208,9 +208,9 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
                             activity.append(new(ActivityRecord, (key, *counts)))
                         continue
                 # csv.reader reads any other line alone, but the first one with a
-                # '"', NUL or lone '\r' (iteration ends a line at one) and the rest of
-                # the file together, so a quoted line break keeps its line numbers.
-                special = '"' in line or "\0" in line or line.endswith("\r")
+                # '"' or NUL and the rest of the file together (which ends this
+                # loop), so a quoted line break keeps its line numbers.
+                special = '"' in line or "\0" in line
                 reader = csv.reader(chain([line], handle) if special else [line])
                 for row in reader:
                     # str.strip drops the same Unicode whitespace cell by cell or joined.

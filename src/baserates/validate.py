@@ -8,13 +8,12 @@ project-level predicates, so swapping them never changes the survivors.
 
 from __future__ import annotations
 
-import functools
 import logging
 import re
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .facts import Enlistment, ProjectMeta, SizeRecord
+from .facts import ProjectMeta, SizeRecord
 
 logger = logging.getLogger(__name__)
 
@@ -36,9 +35,6 @@ _SVN_URL_REGEX = re.compile(
     ".*/(?:" + "|".join(p.removeprefix(".*/") for p in SVN_URL_PATTERNS) + ")", re.IGNORECASE
 )
 
-# read_metadata interns enlistment types, and a population holds few of them.
-_is_svn_kind = functools.lru_cache(maxsize=256)(lambda kind: Enlistment(kind, "").is_svn)
-
 
 def check_svn_enlistments(meta: ProjectMeta) -> tuple[bool, list[str]]:
     """Screen a project's SVN enlistment URLs for properly scoped directories.
@@ -49,7 +45,7 @@ def check_svn_enlistments(meta: ProjectMeta) -> tuple[bool, list[str]]:
     offending = [
         e.url
         for e in meta.enlistments
-        if _is_svn_kind(e.kind) and not _SVN_URL_REGEX.fullmatch(e.url)
+        if e.is_svn and not _SVN_URL_REGEX.fullmatch(e.url)
     ]
     return not offending, offending
 

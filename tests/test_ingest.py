@@ -366,7 +366,7 @@ ODD_INTEGERS = [" 7", "+5", "1_000", "٣", "-0", "007", "0", "x", ""]
 
 
 class TestPlainLines:
-    """Lines without '"', NUL or a lone '\\r' that csv.reader would split on commas alone."""
+    """Lines without '"' or NUL, which csv.reader would split on commas alone."""
 
     @pytest.mark.parametrize("value", ODD_INTEGERS)
     @pytest.mark.parametrize("column", range(1, 10))
