@@ -226,7 +226,10 @@ def run_analyze(config: dict) -> int:
     survivors, validation_report = validate.validate_dataset(
         metas, monthly, cutoff_year
     )
+    # Each data set is freed at its last use, so no later stage's peak includes it.
+    del metas, monthly
     aggregates = metrics.aggregate_all(survivors, config["growthless_year_policy"])
+    del survivors
 
     sections = []
     for metric in stats.Metric:
@@ -259,7 +262,7 @@ def run_analyze(config: dict) -> int:
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
 
-    if not survivors:
+    if not validation_report.after_cutoff.months:
         return _fail(
             EXIT_EMPTY,
             "validation eliminated every project-month; reports written with empty metrics",

@@ -12,8 +12,9 @@ import sys
 
 import pytest
 
-from baserates import cli
+from baserates import cli, metrics, stats
 from baserates.cli import EXIT_EMPTY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from baserates.facts import ProjectMeta, SizeRecord
 from conftest import CORPUS, SLOC_DIR, SLOC_MANIFEST
 
 
@@ -436,6 +437,32 @@ class TestAnalyze:
         assert errs[0] == errs[1]
         assert errs[1].count("baserates: WARNING: ") == 1
         assert "month 13 outside 1..12" in errs[1]
+
+    def test_inputs_are_freed_before_the_later_stages(self, tmp_path, monkeypatch):
+        # main turns the cyclic GC off, so every record of the run stays
+        # tracked while alive and gc.get_objects() finds it. Records alive
+        # before the run (other tests' data) are held, so no new record
+        # reuses their ids, and are not counted.
+        copy_corpus(tmp_path)
+        kinds = (ProjectMeta, SizeRecord)
+        before = {id(obj): obj for obj in gc.get_objects() if isinstance(obj, kinds)}
+        alive = {}
+
+        def counting(name, kind, inner):
+            def call(*args):
+                alive.setdefault(name, sum(
+                    isinstance(obj, kind) and id(obj) not in before
+                    for obj in gc.get_objects()
+                ))
+                return inner(*args)
+
+            return call
+
+        # The metadata is gone once validation is done, the months once aggregated.
+        for owner, name, kind in ((metrics, "aggregate_all", ProjectMeta), (stats, "summarize", SizeRecord)):
+            monkeypatch.setattr(owner, name, counting(name, kind, getattr(owner, name)))
+        assert main(analyze_args(tmp_path)) == EXIT_OK
+        assert alive == {"aggregate_all": 0, "summarize": 0}
 
     def test_aggregates_csv_matches_survivors(self, tmp_path):
         copy_corpus(tmp_path)

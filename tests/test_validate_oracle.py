@@ -140,14 +140,16 @@ def run_logged(validator, logger_name, metas, facts, cutoff_year):
 
 
 # Path pieces of scoped and unscoped SVN URLs: each pattern's directory in
-# odd case, with and without a slash or a name after it, nested branch
-# names, Unicode word characters, a line break and trailing junk.
+# odd case, with and without a slash or a name after it, or right after
+# another character, nested branch names, Unicode word characters, a line
+# break and trailing junk.
 URL_PARTS = st.sampled_from(
     [
         "/trunk", "/TRUNK/", "/head", "/Head/", "/sandbox", "/SiTe/", "/site",
         "/branches/x", "/branches/a/b", "/BRANCHES/", "/tags/", "/tags/v1_0",
         "/Tags/é", "/tags/版本", "/tags/v1.0", "/repo", "/trunk\n", "\n/trunk",
         "/", "//", "x", " ", "/trunk/x",
+        "xtrunk", "/footrunk", "/myhead/", "/subtags/v1", "/xbranches/y", "/mysite",
     ]
 )
 URLS = st.builds(
