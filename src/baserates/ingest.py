@@ -148,6 +148,20 @@ _PLAIN_ROW = re.compile(
 _INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
+class _Names(dict):
+    def __missing__(self, name: str) -> str:  # a project name, interned once
+        name = self[name] = sys.intern(name)
+        return name
+
+
+class _Counts(dict):
+    def __missing__(self, cell: str) -> int:
+        value = int(cell)
+        if len(cell) < 5:  # most counts repeat, but CPython shares no int above 256
+            self[cell] = value
+        return value
+
+
 def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestReport]:
     """Read the canonical facts CSV into raw size and activity records.
 
@@ -156,27 +170,20 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
     2**53 in magnitude, which a float may not hold exactly, is malformed.
     Rows and line numbers are those of csv.reader under the default
     dialect. The records of one project share one interned name string,
-    the one ``read_metadata`` gives; the plain rows of one year share one
-    year ``int``, and their equal ``comments``, ``blanks``, ``loc_added``
-    and ``loc_removed`` cells of at most four characters one ``int``.
+    the one ``read_metadata`` gives. On the plain rows, equal cells of at
+    most four characters share one ``int``, except ``loc``; a longer cell,
+    such as the year ``02012``, is parsed per row.
     """
     size: list[SizeRecord] = []
     activity: list[ActivityRecord] = []
-    names: dict[str, str] = {}  # projects of the accepted rows, each name interned
-    years: dict[str, int] = {}  # year cells of plain rows, each parsed once
-    shared: dict[str, int] = {}  # count cells of at most 4 characters, each parsed once
-
-    def share(cell: str) -> int:
-        # Most counts repeat, but CPython shares no int above 256.
-        value = int(cell)
-        if len(cell) < 5:
-            shared[cell] = value
-        return value
+    names = _Names()  # projects of the accepted rows, each name interned
+    ints = _Counts()  # cells of plain rows, each of at most 4 characters parsed once
+    add_size, add_activity = size.append, activity.append
     malformed: list[RecordDiagnostic] = []
     records_read = 0
     path = Path(path)
     limit = csv.field_size_limit()  # a line no longer than this holds no longer field
-    new, intern = tuple.__new__, sys.intern
+    new = tuple.__new__
     with _open_utf8(path, newline="") as handle:
         reader, lineno = csv.reader(handle), 1
         try:
@@ -192,20 +199,15 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
                     # and csv.reader gives a row with neither half its diagnostic.
                     (project, year, month, loc, comments, blanks,
                      added, removed, commits, contributors) = match.groups()
-                    year, month = years.get(year) or years.setdefault(year, int(year)), int(month)
+                    year, month = ints[year], ints[month]
                     if year >= MIN_YEAR and 1 <= month <= 12 and (loc or added):
                         records_read += 1
-                        name = names.get(project) or names.setdefault(project, intern(project))
-                        key = new(FactKey, (name, year, month))
-                        if loc:
-                            comments = shared.get(comments) or share(comments)
-                            blanks = shared.get(blanks) or share(blanks)
-                            size.append(new(SizeRecord, (key, int(loc), comments, blanks)))
+                        key = new(FactKey, (names[project], year, month))
+                        if loc:  # parsed per row: about half of all sizes are too long to share
+                            add_size(new(SizeRecord, (key, int(loc), ints[comments], ints[blanks])))
                         if added:
-                            added = shared.get(added) or share(added)
-                            removed = shared.get(removed) or share(removed)
-                            counts = added, removed, int(commits), int(contributors)
-                            activity.append(new(ActivityRecord, (key, *counts)))
+                            add_activity(new(ActivityRecord, (
+                                key, ints[added], ints[removed], ints[commits], ints[contributors])))
                         continue
                 # csv.reader reads any other line alone, but the first one with a
                 # '"' or NUL and the rest of the file together (which ends this

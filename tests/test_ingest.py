@@ -591,19 +591,20 @@ class TestSharedValues:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
     def test_equal_short_counts_above_256_are_one_int(self, tmp_path, newline):
         # int("1234") is a new object each time; the plain-line path keeps the
-        # first, also after a malformed line that csv.reader reads alone.
+        # first, also after a malformed line that csv.reader reads alone, and
+        # for every column but loc.
         write_lines(
             tmp_path / "facts.csv",
             HEADER,
             "p,2012,13,1,1,1,1,1,1,1",
-            "p,2012,1,5000,1234,1234,1234,1234,1,1",
+            "p,2012,1,5000,1234,1234,1234,1234,1234,1234",
             "p,2012,2,5000,1234,1234,,,,",
-            "p,2012,3,,,,1234,1234,1,1",
+            "p,2012,3,,,,1234,1234,1234,1234",
             "p,2012,4,5000,-999,-999,1,1,1,1",
             newline=newline,
         )
         size, activity, _ = read_facts(tmp_path / "facts.csv")
-        counts = [r[2:] for r in size[:2]] + [r[1:3] for r in activity[:2]]
+        counts = [r[2:] for r in size[:2]] + [r[1:] for r in activity[:2]]
         assert len({id(value) for value in chain.from_iterable(counts)}) == 1
         assert size[2].comments is size[2].blanks == -999
 

@@ -189,6 +189,19 @@ PLAIN_ROWS = st.builds(
     st.lists(st.one_of(PLAIN_COUNTS, st.integers(-(10**6), -1)), min_size=3, max_size=3),
     st.lists(PLAIN_COUNTS, min_size=4, max_size=4),
 )
+# Plain rows whose cells recur across rows and columns in several spellings:
+# the reader parses a short cell once and keys the int by its text, so
+# "12" and "0012" must still give equal values.
+RECURRING_COUNTS = st.sampled_from(["0", "007", "12", "0012", "999", "9999", "09999", "10000"])
+RECURRING_SIZES = st.one_of(RECURRING_COUNTS, st.sampled_from(["-0", "-999", "-1000"]))
+RECURRING_ROWS = st.builds(
+    lambda project, year, month, size, activity: [project, year, month, *size, *activity],
+    st.sampled_from(["a", "b"]),
+    st.sampled_from(["2011", "02011"]),
+    st.sampled_from(["1", "01", "012"]),
+    st.one_of(st.lists(RECURRING_SIZES, min_size=3, max_size=3), st.just([""] * 3)),
+    st.one_of(st.lists(RECURRING_COUNTS, min_size=4, max_size=4), st.just([""] * 4)),
+)
 # Rows of a project that appears nowhere else and is malformed every time:
 # it must not count among the projects read.
 GHOST_ROWS = st.sampled_from(
@@ -237,6 +250,15 @@ def test_read_facts_matches_oracle(rows, lineterminator):
         for quote_first in (False, True):
             write_csv(path, rows, lineterminator, quote_first)
             assert outcome(ingest.read_facts, path) == outcome(read_facts, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(RECURRING_ROWS, max_size=30), lineterminator=st.sampled_from(["\n", "\r\n"]))
+def test_recurring_cell_spellings_match_oracle(rows, lineterminator):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "facts.csv"
+        write_csv(path, rows, lineterminator)
+        assert outcome(ingest.read_facts, path) == outcome(read_facts, path)
 
 
 @pytest.mark.parametrize(
