@@ -12,19 +12,22 @@ import gc
 import json
 import logging
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 # Each command loads its own modules when it runs, so neither pays for the
 # other's; metrics holds the policy names the parser and _SETTINGS need up front.
 from . import metrics
-from .facts import join_facts
+from .facts import YearlyAggregate, join_facts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_EMPTY = 3  # validation left no survivors; the reports are still written
 
-logger = logging.getLogger(__name__)
+# Input diagnostics per stderr write: thousands cost a few writes, and no
+# batch, unlike all of them joined, holds much at the run's peak.
+_WARNING_BATCH = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,19 +183,29 @@ def _observations(metric, aggregates, cutoff_year: int) -> tuple[list, int]:
     """
     from . import stats
 
-    field = metric.name.lower()  # YearlyAggregate.cs, .cga or .cgi
-    observations = []
-    undefined = 0
+    field = YearlyAggregate._fields.index(metric.name.lower())  # cs, cga or cgi
+    if metric is stats.Metric.CS:
+        aggregates = [a for a in aggregates if a.year == cutoff_year]
     new, observation = tuple.__new__, stats.Observation
-    for aggregate in aggregates:
-        if metric is stats.Metric.CS and aggregate.year != cutoff_year:
-            continue
-        value = getattr(aggregate, field)
-        if value is None:
-            undefined += 1
-        else:
-            observations.append(new(observation, (aggregate.project, aggregate.year, float(value))))
-    return observations, undefined
+    observations = [
+        new(observation, (a.project, a.year, float(a[field])))
+        for a in aggregates
+        if a[field] is not None
+    ]
+    return observations, len(aggregates) - len(observations)
+
+
+def _warn(diagnostics) -> None:
+    """Write each diagnostic as a ``baserates: WARNING:`` line, a batch per stderr write."""
+    diagnostics, stderr = iter(diagnostics), sys.stderr
+    try:
+        while batch := "".join(
+            f"baserates: WARNING: {d}\n" for d in islice(diagnostics, _WARNING_BATCH)
+        ):
+            stderr.write(batch)
+        stderr.flush()
+    except OSError:  # as under a logging handler, a stderr that fails fails no run
+        pass
 
 
 def run_analyze(config: dict) -> int:
@@ -217,11 +230,8 @@ def run_analyze(config: dict) -> int:
     if facts_error is not None:
         return _fail(EXIT_IO, facts_error)
 
-    for rep in (meta_report, facts_report):
-        for diag in rep.malformed:
-            logger.warning("%s:%d: %s", diag.file, diag.line, diag.reason)
-    for diagnostic in join_diagnostics:
-        logger.warning("%s", diagnostic)
+    malformed = chain(meta_report.malformed, facts_report.malformed)
+    _warn(chain((f"{d.file}:{d.line}: {d.reason}" for d in malformed), join_diagnostics))
 
     survivors, validation_report = validate.validate_dataset(
         metas, monthly, cutoff_year
@@ -276,8 +286,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # A handler per call, so each call's warnings reach the stderr current at
-    # that call; records still propagate to any handlers the caller installed.
+    # A handler per call for the library's warnings (_warn writes the input
+    # diagnostics), so each call's reach the stderr current at that call;
+    # records still propagate to any handlers the caller installed.
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("baserates: %(levelname)s: %(message)s"))
     package_logger = logging.getLogger("baserates")

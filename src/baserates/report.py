@@ -150,48 +150,32 @@ def _boxplot_table(metrics: list[dict]) -> list[str]:
     ]
     for m in metrics:
         box = m["boxplot"]
-        rows.append(
-            [
-                m["metric"],
-                format_number(box["whisker_low"]),
-                format_number(box["q1"]),
-                format_number(box["median"]),
-                format_number(box["q3"]),
-                format_number(box["whisker_high"]),
-                format_number(len(box["outlier_values"])),
-            ]
-        )
+        values = (box["whisker_low"], box["q1"], box["median"], box["q3"], box["whisker_high"],
+                  len(box["outlier_values"]))
+        rows.append([m["metric"], *map(format_number, values)])
     return _render_table(rows)
+
+
+def _heading(title: str, rule: str = "-") -> list[str]:
+    return [title, rule * len(title)]
 
 
 def render_text(report: Report) -> str:
     """Aligned text tables: configuration, validation accounting, metric summary."""
     doc = report_to_dict(report)
-    out: list[str] = []
-    out.append("Code size and growth base rates")
-    out.append("===============================")
-    out.append("")
-    out.append("Configuration")
-    out.append("-------------")
-    for key, value in doc["config"].items():
-        out.append(f"{key}: {_format_config_value(value)}")
-    out.append("")
-    out.append("Data set validation")
-    out.append("-------------------")
+    out = [*_heading("Code size and growth base rates", "="), "", *_heading("Configuration")]
+    out += [f"{key}: {_format_config_value(value)}" for key, value in doc["config"].items()]
+    out += ["", *_heading("Data set validation")]
     rows = table_rows(report.validation)
     label_width = max(len(label) for label, _ in rows)
     value_width = max(len(format_number(value)) for _, value in rows)
     for label, value in rows:
         out.append(f"{label:<{label_width}}  {format_number(value):>{value_width}}")
-    out.append("")
-    out.append("Metric summary")
-    out.append("--------------")
+    out += ["", *_heading("Metric summary")]
     if doc["metrics"]:
-        out.extend(_metric_table(doc["metrics"]))
-        out.append("")
-        out.append("Boxplot summary")
-        out.append("---------------")
-        out.extend(_boxplot_table(doc["metrics"]))
+        out += _metric_table(doc["metrics"])
+        out += ["", *_heading("Boxplot summary")]
+        out += _boxplot_table(doc["metrics"])
     else:
         out.append(doc["note"])
     return "\n".join(out) + "\n"

@@ -405,7 +405,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("value", ["{}", "0", '""', "false"])
     @pytest.mark.parametrize("key", ["enlistments", "tags"])
-    def test_falsy_non_list_metadata_is_malformed(self, tmp_path, caplog, key, value):
+    def test_falsy_non_list_metadata_is_malformed(self, tmp_path, capsys, key, value):
         # golf fails the SVN screen; read as empty, its enlistments would pass it.
         copy_corpus(tmp_path)
         meta_path = tmp_path / "metadata.jsonl"
@@ -413,11 +413,10 @@ class TestAnalyze:
         lineno = next(n for n, line in enumerate(lines, 1) if '"golf"' in line)
         lines[lineno - 1] = f'{{"name": "golf", "{key}": {value}}}'
         meta_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with caplog.at_level("WARNING", logger="baserates.cli"):
-            assert main(analyze_args(tmp_path)) == EXIT_OK
+        assert main(analyze_args(tmp_path)) == EXIT_OK
         assert any(
-            message.startswith(f"{meta_path}:{lineno}: {key} must be a list")
-            for message in caplog.messages
+            line.startswith(f"baserates: WARNING: {meta_path}:{lineno}: {key} must be a list")
+            for line in capsys.readouterr().err.splitlines()
         )
         doc = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
         assert doc["validation"]["excluded_svn_config"] == 0
@@ -437,6 +436,61 @@ class TestAnalyze:
         assert errs[0] == errs[1]
         assert errs[1].count("baserates: WARNING: ") == 1
         assert "month 13 outside 1..12" in errs[1]
+
+    def test_diagnostics_spanning_several_batches_keep_their_order(self, tmp_path, monkeypatch):
+        copy_corpus(tmp_path)
+        metadata, facts = tmp_path / "metadata.jsonl", tmp_path / "facts.csv"
+        bad_lines = 2 * cli._WARNING_BATCH + 7
+        with metadata.open("a", encoding="utf-8") as handle:
+            handle.write("not json\n" * bad_lines)  # lines 11 on
+        with facts.open("a", encoding="utf-8") as handle:
+            handle.write("alpha,2012,13,1,1,1,1,1,1,1\n")  # line 81
+            handle.write("alpha,2012,0,1,1,1,1,1,1,1\n")
+            handle.write("bravo,2012,1,1000,100,40,,,,\n")  # a second size record
+            handle.write("alpha,2011,2,,,,1,1,1,1\n")  # a second activity record
+        expected = [
+            *(f"{metadata}:{n}: invalid JSON: Expecting value" for n in range(11, 11 + bad_lines)),
+            f"{facts}:81: month 13 outside 1..12",
+            f"{facts}:82: month 0 outside 1..12",
+            "duplicate size record for 'bravo' at 2012-01; project rejected",
+            "duplicate activity record for 'alpha' at 2011-02; project rejected",
+        ]
+
+        class Stderr(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        stderr = Stderr()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(analyze_args(tmp_path)) == EXIT_OK
+        assert stderr.getvalue().splitlines() == [f"baserates: WARNING: {m}" for m in expected]
+        assert stderr.writes == -(-len(expected) // cli._WARNING_BATCH)  # not one per line
+
+    def test_failing_stderr_changes_no_output(self, tmp_path, monkeypatch):
+        copy_corpus(tmp_path)
+        with (tmp_path / "metadata.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        with (tmp_path / "facts.csv").open("a", encoding="utf-8") as handle:
+            handle.write("alpha,2012,13,1,1,1,1,1,1,1\n")
+
+        class BrokenPipe(io.StringIO):
+            def write(self, *args):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            flush = write
+
+        argv = analyze_args(tmp_path) + ["--svg"]
+        out = tmp_path / "out"
+        assert main(argv) == EXIT_OK
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        shutil.rmtree(out)
+        monkeypatch.setattr(sys, "stderr", BrokenPipe())
+        assert main(argv) == EXIT_OK
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+        assert "boxplot_cs.svg" in written
 
     def test_inputs_are_freed_before_the_later_stages(self, tmp_path, monkeypatch):
         # main turns the cyclic GC off, so every record of the run stays
