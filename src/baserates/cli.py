@@ -260,15 +260,16 @@ def run_analyze(config: dict) -> int:
         metrics.write_aggregates_csv(aggregates, out / "yearly_aggregates.csv")
         (out / "report.json").write_text(report.render_json(document), encoding="utf-8")
         (out / "report.txt").write_text(report.render_text(document), encoding="utf-8")
-        if config["svg"]:
-            for section in document.sections:
-                metric_name = section.summary.metric.value
-                svg_text = report.render_boxplot_svg(
-                    section.boxplot, f"{metric_name} boxplot"
-                )
-                (out / f"boxplot_{metric_name.lower()}.svg").write_text(
-                    svg_text, encoding="utf-8"
-                )
+        # The directory keeps a boxplot only for a metric this run rendered,
+        # none that an earlier run into it left behind.
+        boxplots = {s.summary.metric: s.boxplot for s in sections if config["svg"]}
+        for metric in stats.Metric:
+            path = out / f"boxplot_{metric.value.lower()}.svg"
+            if metric in boxplots:
+                svg_text = report.render_boxplot_svg(boxplots[metric], f"{metric.value} boxplot")
+                path.write_text(svg_text, encoding="utf-8")
+            else:
+                path.unlink(missing_ok=True)
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
 

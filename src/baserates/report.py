@@ -1,8 +1,9 @@
-"""Assembly of validation accounting and metric summaries into report documents.
+"""Assembly of validation accounting and metric summaries into the report document.
 
-The JSON and text renderings are produced from the same intermediate
-dictionary, so every field present in one is present in the other and
-identical inputs always yield byte-identical output.
+``build_report`` builds one document per run, the dict that report.json
+holds; the JSON and text renderings are both generated from it, so every
+field present in one is present in the other and identical inputs always
+yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,25 +23,14 @@ class MetricSection(NamedTuple):
     undefined_excluded: int = 0
 
 
-class Report(NamedTuple):
-    config: dict
-    validation: ValidationReport
-    sections: tuple[MetricSection, ...]
-
-
-def build_report(validation: ValidationReport, sections, config: dict) -> Report:
-    """Bundle the validation accounting, metric sections and run configuration."""
-    return Report(config=dict(config), validation=validation, sections=tuple(sections))
-
-
-def report_to_dict(report: Report) -> dict:
-    """The single intermediate structure both renderings are generated from."""
+def build_report(validation: ValidationReport, sections, config: dict) -> dict:
+    """The report document of the validation accounting, metric sections and run configuration."""
     doc = {
-        "config": {key: report.config[key] for key in sorted(report.config)},
-        "validation": report.validation.to_dict(),
-        "metrics": [_section_to_dict(section) for section in report.sections],
+        "config": {key: config[key] for key in sorted(config)},
+        "validation": validation.to_dict(),
+        "metrics": [_section_to_dict(section) for section in sections],
     }
-    if not report.sections:
+    if not doc["metrics"]:
         doc["note"] = NO_METRICS_NOTE
     return doc
 
@@ -71,8 +61,8 @@ def _section_to_dict(section: MetricSection) -> dict:
     }
 
 
-def render_json(report: Report) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+def render_json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def format_number(value) -> str:
@@ -160,13 +150,12 @@ def _heading(title: str, rule: str = "-") -> list[str]:
     return [title, rule * len(title)]
 
 
-def render_text(report: Report) -> str:
+def render_text(doc: dict) -> str:
     """Aligned text tables: configuration, validation accounting, metric summary."""
-    doc = report_to_dict(report)
     out = [*_heading("Code size and growth base rates", "="), "", *_heading("Configuration")]
     out += [f"{key}: {_format_config_value(value)}" for key, value in doc["config"].items()]
     out += ["", *_heading("Data set validation")]
-    rows = table_rows(report.validation)
+    rows = table_rows(doc["validation"])
     label_width = max(len(label) for label, _ in rows)
     value_width = max(len(format_number(value)) for _, value in rows)
     for label, value in rows:

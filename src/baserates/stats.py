@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
 TUKEY_FENCE_FACTOR = 1.5
@@ -38,12 +39,30 @@ def _sorted_quantile(xs: Sequence[float], p: float) -> float:
     return xs[lower] + fraction * (xs[lower + 1] - xs[lower])
 
 
-def _quartiles_and_fences(xs: Sequence[float]) -> tuple[float, ...]:
-    """(q1, median, q3, lower fence, upper fence) of a sorted, non-empty sample."""
+class BoxplotData(NamedTuple):
+    """Five-number summary with Tukey whiskers and the points beyond them."""
+
+    q1: float
+    median: float
+    q3: float
+    whisker_low: float
+    whisker_high: float
+    outlier_values: tuple[float, ...]
+
+
+def _boxplot(xs: Sequence[float]) -> BoxplotData:
+    """Quartiles, whiskers and the values beyond the fences of a sorted, non-empty sample."""
     q1 = _sorted_quantile(xs, 0.25)
     q3 = _sorted_quantile(xs, 0.75)
     spread = TUKEY_FENCE_FACTOR * (q3 - q1)
-    return q1, _sorted_quantile(xs, 0.5), q3, q1 - spread, q3 + spread
+    # The values inside the fences, both fences included, are one slice of xs.
+    # Exact fences always hold the one or two middle order statistics; the
+    # rounded ones can miss them (two values 2 ulps apart), so these stay in.
+    start = min(bisect_left(xs, q1 - spread), (len(xs) - 1) // 2)
+    stop = max(bisect_right(xs, q3 + spread), len(xs) // 2 + 1)
+    return BoxplotData(
+        q1, _sorted_quantile(xs, 0.5), q3, xs[start], xs[stop - 1], (*xs[:start], *xs[stop:])
+    )
 
 
 class MetricSummary(NamedTuple):
@@ -71,56 +90,27 @@ def summarize(observations: Sequence[Observation], metric: Metric) -> MetricSumm
     if not observations:
         raise ValueError(f"no defined observations for {metric.value}")
     xs = sorted(float(obs.value) for obs in observations)
-    q1, median, q3, low, high = _quartiles_and_fences(xs)
-    outliers = sum(1 for value in xs if value < low or value > high)
-
-    matches = [obs for obs in observations if float(obs.value) == median]
-    if matches:
-        attainers = sorted((obs.project, obs.year) for obs in matches)
-    else:
-        lower = math.floor((len(xs) - 1) * 0.5)
-        bracket = {xs[lower], xs[lower + 1]}
-        attainers = sorted(
-            (obs.project, obs.year)
-            for obs in observations
-            if float(obs.value) in bracket
-        )
+    box = _boxplot(xs)
+    # The one or two order statistics the median lies between: a value equal
+    # to the median can only be one of them.
+    middle = {xs[(len(xs) - 1) // 2], xs[len(xs) // 2]}
+    attain = {box.median} if box.median in middle else middle
+    attainers = sorted((o.project, o.year) for o in observations if float(o.value) in attain)
     return MetricSummary(
         metric=metric,
-        median=median,
+        median=box.median,
         median_attainers=tuple(attainers),
-        iqr=q3 - q1,
+        iqr=box.q3 - box.q1,
         observations=len(xs),
-        outliers=outliers,
+        outliers=len(box.outlier_values),
     )
-
-
-class BoxplotData(NamedTuple):
-    """Five-number summary with Tukey whiskers and the points beyond them."""
-
-    q1: float
-    median: float
-    q3: float
-    whisker_low: float
-    whisker_high: float
-    outlier_values: tuple[float, ...]
 
 
 def boxplot_data(values: Sequence[float]) -> BoxplotData:
     """Boxplot data with whiskers at the most extreme points inside the fences."""
     if len(values) == 0:
         raise ValueError("no values to plot")
-    xs = sorted(float(value) for value in values)
-    q1, median, q3, low, high = _quartiles_and_fences(xs)
-    inside = [value for value in xs if low <= value <= high]
-    return BoxplotData(
-        q1=q1,
-        median=median,
-        q3=q3,
-        whisker_low=min(inside),
-        whisker_high=max(inside),
-        outlier_values=tuple(v for v in xs if v < low or v > high),
-    )
+    return _boxplot(sorted(float(value) for value in values))
 
 
 def base_rate_posterior(prior: float, sensitivity: float, specificity: float) -> float:

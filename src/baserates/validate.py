@@ -73,27 +73,27 @@ class ValidationReport(NamedTuple):
         return {**self._asdict(), "after_cutoff": self.after_cutoff._asdict()}
 
 
-def table_rows(report: ValidationReport) -> list[tuple[str, int]]:
-    """Label/value rows of the validation accounting table, in report order."""
-    return [
-        ("Projects collected", report.projects_collected),
-        ("1. Projects excluded due to missing data", report.excluded_missing_data),
-        (
-            "2. Projects excluded due to improper SVN configuration",
-            report.excluded_svn_config,
-        ),
-        ("Projects remaining", report.projects_remaining),
-        ("Project months for the remaining projects", report.months_before_rule3),
-        (
-            "3. Project months excluded due to negative code size",
-            report.excluded_negative_size,
-        ),
-        ("Project months remaining", report.months_remaining),
-        ("Project years remaining", report.years_remaining),
-        ("Projects finally remaining after cut-off", report.after_cutoff.projects),
-        ("Project months finally remaining after cut-off", report.after_cutoff.months),
-        ("Project years finally remaining after cut-off", report.after_cutoff.years),
-    ]
+# The validation table's row labels, in the order of ValidationReport.to_dict()'s
+# counts with after_cutoff's three inlined.
+_TABLE_LABELS = (
+    "Projects collected",
+    "1. Projects excluded due to missing data",
+    "2. Projects excluded due to improper SVN configuration",
+    "Projects remaining",
+    "Project months for the remaining projects",
+    "3. Project months excluded due to negative code size",
+    "Project months remaining",
+    "Project years remaining",
+    "Projects finally remaining after cut-off",
+    "Project months finally remaining after cut-off",
+    "Project years finally remaining after cut-off",
+)
+
+
+def table_rows(validation: dict) -> list[tuple[str, int]]:
+    """Label/value rows of the validation table from a ``ValidationReport.to_dict()``."""
+    *counts, after_cutoff = validation.values()
+    return list(zip(_TABLE_LABELS, [*counts, *after_cutoff.values()], strict=True))
 
 
 def validate_dataset(

@@ -148,6 +148,29 @@ class TestAnalyze:
         assert main(analyze_args(tmp_path)) == EXIT_OK
         assert not (tmp_path / "out" / "boxplot_cs.svg").exists()
 
+    def test_rerun_into_the_same_directory_leaves_no_stale_boxplot(self, tmp_path, capsys):
+        copy_corpus(tmp_path)
+        out = tmp_path / "out"
+        svgs = ["boxplot_cga.svg", "boxplot_cgi.svg", "boxplot_cs.svg"]
+
+        def boxplots():
+            return sorted(path.name for path in out.glob("boxplot_*.svg"))
+
+        assert main(analyze_args(tmp_path) + ["--svg"]) == EXIT_OK
+        assert boxplots() == svgs
+        # Every month lies after a 1990 cut-off, so no metric is rendered.
+        assert main(analyze_args(tmp_path, **{"cutoff-year": "1990"}) + ["--svg"]) == EXIT_EMPTY
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["metrics"] == []
+        assert boxplots() == []
+        assert main(analyze_args(tmp_path) + ["--svg"]) == EXIT_OK
+        assert main(analyze_args(tmp_path)) == EXIT_OK  # no --svg: none rendered
+        assert boxplots() == []
+        # A stale boxplot that cannot be removed is a write failure.
+        (out / "boxplot_cs.svg").mkdir()
+        capsys.readouterr()
+        assert main(analyze_args(tmp_path)) == EXIT_IO
+        assert "boxplot_cs.svg" in capsys.readouterr().err
+
     def test_omitted_cutoff_year_is_usage_error(self, tmp_path, capsys):
         copy_corpus(tmp_path)
         argv = analyze_args(tmp_path)

@@ -1,0 +1,132 @@
+"""Relations between two ``analyze`` runs whose inputs differ in one known way.
+
+No run is checked against a copy of the program: each relation says how
+the outputs of the second run follow from those of the first, so it
+still holds when the stages behind the CLI are rewritten.
+
+Scale: every ``loc`` times 3 triples each cs and cga. It leaves each cgi
+as it is, since a ratio of two tripled locs is the same rational number,
+rounded once. Validation, the outlier counts and stderr stay the same.
+With every tripled ``|loc|`` at most 2**50, quarter-step interpolation
+between the values is exact, so the CS and CGa quartiles, whiskers and
+outlier values triple exactly too.
+"""
+
+from __future__ import annotations
+
+import csv
+import importlib
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from baserates.cli import main
+from baserates.ingest import FACTS_HEADER
+from conftest import CORPUS
+
+REPO = Path(__file__).resolve().parent.parent
+SCALE = 3
+LOC = FACTS_HEADER.index("loc")
+
+
+def scaled_facts(text: str) -> tuple[str, int]:
+    """The facts text with each loc that int() parses times SCALE, and how many there were.
+
+    Every other cell, the rows that do not split into the header's fields
+    and the line endings are kept byte for byte.
+    """
+    assert '"' not in text  # each line splits on its commas alone
+    lines, scaled = text.split("\n"), 0
+    for index, line in enumerate(lines[1:], 1):
+        cells = line.split(",")
+        if len(cells) != len(FACTS_HEADER):
+            continue
+        try:
+            loc = int(cells[LOC])
+        except ValueError:
+            continue
+        assert SCALE * abs(loc) <= 2**50
+        cells[LOC] = str(SCALE * loc)
+        lines[index] = ",".join(cells)
+        scaled += 1
+    return "\n".join(lines), scaled
+
+
+def analyze(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
+    """Exit code, stderr, report document and aggregate rows of one run in ``workdir``.
+
+    The run reads its inputs by relative path, so two runs in two
+    directories print the same paths.
+    """
+    monkeypatch.chdir(workdir)
+    capsys.readouterr()
+    code = main([
+        "analyze", "--metadata", "metadata.jsonl", "--facts", "facts.csv",
+        "--cutoff-year", str(cutoff_year), "--growthless-year-policy", policy,
+        "--out", "out",
+    ])
+    stderr = capsys.readouterr().err
+    doc = json.loads((workdir / "out" / "report.json").read_text(encoding="utf-8"))
+    with (workdir / "out" / "yearly_aggregates.csv").open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    return code, stderr, doc, rows
+
+
+def times_scale(cell: str) -> str:
+    return cell and str(SCALE * int(cell))  # an undefined (empty) cell stays empty
+
+
+def scaled_section(section: dict) -> dict:
+    box = section["boxplot"]
+    return {
+        **section,
+        "median": SCALE * section["median"],
+        "iqr": SCALE * section["iqr"],
+        "boxplot": {
+            **{key: SCALE * box[key] for key in ("q1", "median", "q3", "whisker_low", "whisker_high")},
+            "outlier_values": [SCALE * value for value in box["outlier_values"]],
+        },
+    }
+
+
+def inputs(source: str, seed: int, workdir: Path, monkeypatch) -> tuple[int, str]:
+    """Write the metadata and facts of ``source`` into ``workdir``; their cut-off and policy."""
+    if source == "corpus":
+        shutil.copy(CORPUS / "metadata.jsonl", workdir / "metadata.jsonl")
+        shutil.copy(CORPUS / "facts.csv", workdir / "facts.csv")
+        return 2012, "undefined"
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    gen = importlib.import_module("gen")
+    gen.write_facts_inputs(workdir, seed, getattr(gen, source))
+    return gen.CUTOFF_YEAR, "zero" if source == "WIDE" else "undefined"
+
+
+@pytest.mark.parametrize(
+    "source, seed", [("corpus", None), ("LONG", 7), ("LONG", 8), ("WIDE", 7), ("WIDE", 8)]
+)
+def test_every_loc_times_three(source, seed, tmp_path, monkeypatch, capsys):
+    base, scaled = tmp_path / "base", tmp_path / "scaled"
+    base.mkdir()
+    scaled.mkdir()
+    cutoff_year, policy = inputs(source, seed, base, monkeypatch)
+    shutil.copy(base / "metadata.jsonl", scaled / "metadata.jsonl")
+    facts = (base / "facts.csv").read_bytes().decode("utf-8")
+    scaled_text, count = scaled_facts(facts)
+    assert count > 0
+    (scaled / "facts.csv").write_bytes(scaled_text.encode("utf-8"))
+
+    code, stderr, doc, rows = analyze(base, cutoff_year, policy, monkeypatch, capsys)
+    code3, stderr3, doc3, rows3 = analyze(scaled, cutoff_year, policy, monkeypatch, capsys)
+
+    assert (code3, stderr3, doc3["validation"]) == (code, stderr, doc["validation"])
+    sections = {section["metric"]: section for section in doc["metrics"]}
+    sections3 = {section["metric"]: section for section in doc3["metrics"]}
+    assert list(sections3) == list(sections) == ["CS", "CGa", "CGi"]
+    assert sections3["CGi"] == sections["CGi"]
+    for metric in ("CS", "CGa"):
+        assert sections3[metric] == scaled_section(sections[metric]), metric
+    assert rows3 == [
+        {**row, "cs": times_scale(row["cs"]), "cga": times_scale(row["cga"])} for row in rows
+    ]

@@ -14,7 +14,6 @@ from baserates.report import (
     render_boxplot_svg,
     render_json,
     render_text,
-    report_to_dict,
 )
 from baserates.stats import Metric, Observation, boxplot_data, summarize
 from baserates.validate import AfterCutoff, ValidationReport, table_rows
@@ -41,46 +40,47 @@ def sample_report():
 
 class TestBuildReport:
     def test_sections_pair_summary_with_boxplot(self):
-        report = sample_report()
-        assert len(report.sections) == 1
-        assert report.sections[0].summary.metric is Metric.CS
-        assert report.sections[0].undefined_excluded == 2
+        doc = sample_report()
+        assert list(doc) == ["config", "validation", "metrics"]
+        assert len(doc["metrics"]) == 1
+        section = doc["metrics"][0]
+        assert section["metric"] == "CS" and section["median"] == 1.0
+        assert section["undefined_excluded"] == 2
+        assert section["boxplot"]["outlier_values"] == [100.0]
 
 
 class TestParity:
     def test_every_validation_row_appears_in_both_renderings(self):
-        report = sample_report()
-        doc = report_to_dict(report)
-        text = render_text(report)
-        for label, value in table_rows(VALIDATION):
+        doc = sample_report()
+        text = render_text(doc)
+        for label, value in table_rows(VALIDATION.to_dict()):
             assert label in text
         flat = doc["validation"]
         assert flat["projects_collected"] == 10
         assert "10" in text
 
     def test_metric_fields_appear_in_both_renderings(self):
-        report = sample_report()
-        doc = report_to_dict(report)
-        text = render_text(report)
+        doc = sample_report()
+        text = render_text(doc)
         section = doc["metrics"][0]
         assert section["metric"] == "CS" and "CS" in text
         assert "Median project(s)" in text
         assert "Undefined excluded" in text
         assert "Whisker high" in text
-        parsed = json.loads(render_json(report))
+        parsed = json.loads(render_json(doc))
         assert parsed == doc
+        assert render_text(parsed) == text  # the text reads only the document
 
     def test_empty_metrics_note_in_both_renderings(self):
-        report = build_report(VALIDATION, [], CONFIG)
-        doc = report_to_dict(report)
+        doc = build_report(VALIDATION, [], CONFIG)
         assert doc["note"] == NO_METRICS_NOTE
         assert doc["metrics"] == []
-        assert NO_METRICS_NOTE in render_text(report)
+        assert NO_METRICS_NOTE in render_text(doc)
+        assert json.loads(render_json(doc))["note"] == NO_METRICS_NOTE
 
     def test_config_echo_in_both_renderings(self):
-        report = sample_report()
-        doc = report_to_dict(report)
-        text = render_text(report)
+        doc = sample_report()
+        text = render_text(doc)
         assert doc["config"]["cutoff_year"] == 2012
         assert "cutoff_year: 2012" in text
         assert "growthless_year_policy: undefined" in text
@@ -136,12 +136,11 @@ class TestAttainersFormatting:
 
 class TestPercentRendering:
     def test_outlier_percent_rounded_to_whole(self):
-        report = sample_report()
-        text = render_text(report)
+        text = render_text(sample_report())
         assert "1 (20%)" in text  # 1 outlier of 5 observations
 
     def test_full_precision_rate_in_json(self):
-        doc = report_to_dict(sample_report())
+        doc = sample_report()
         assert doc["metrics"][0]["outlier_rate"] == pytest.approx(0.2)
 
 

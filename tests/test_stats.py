@@ -169,9 +169,24 @@ class TestBoxplotData:
         assert box.outlier_values == ()
 
     def test_extreme_point_beyond_whisker(self):
-        box = boxplot_data([1, 1, 1, 1, 100])
-        assert box.whisker_high == 1
-        assert box.outlier_values == (100.0,)
+        # values, whiskers, outliers: a value on a fence is a whisker, and the
+        # same value one ulp outward is an outlier (q1 2, q3 6, fences -4 and 12)
+        low, high = math.nextafter(-4.0, -math.inf), math.nextafter(12.0, math.inf)
+        # Exact quartiles of two values 2 ulps apart lie half an ulp inside
+        # them, so both are inside the fences; rounded, both quartiles and so
+        # both fences land on the value between them, yet neither is an outlier.
+        apart = [1 + 2**-52, 1 + 3 * 2**-52]
+        cases = [
+            ([1, 1, 1, 1, 100], (1, 1), (100.0,)),
+            ([-4, 2, 2, 2, 6, 6, 6, 12], (-4, 12), ()),
+            ([low, 2, 2, 2, 6, 6, 6, high], (2, 6), (low, high)),
+            (apart, tuple(apart), ()),
+        ]
+        for values, whiskers, outliers in cases:
+            box = boxplot_data(values)
+            assert (box.whisker_low, box.whisker_high) == whiskers
+            assert box.outlier_values == outliers
+            assert summarize(observations(values), Metric.CS).outliers == len(outliers)
 
     def test_ordering_invariant(self):
         rng = random.Random(123)

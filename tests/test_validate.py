@@ -257,7 +257,9 @@ class TestReportRendering:
         assert doc["after_cutoff"] == {"projects": 6, "months": 63, "years": 8}
 
     def test_table_row_order(self):
-        labels = [label for label, _ in table_rows(self.sample_report())]
+        rows = table_rows(self.sample_report().to_dict())
+        assert [value for _, value in rows] == [10, 2, 1, 7, 70, 1, 69, 11, 6, 63, 8]
+        labels = [label for label, _ in rows]
         assert labels[0] == "Projects collected"
         assert labels[1].startswith("1.")
         assert labels[2].startswith("2.")

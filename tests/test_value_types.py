@@ -7,7 +7,7 @@ import pytest
 from baserates import sloc
 from baserates.facts import Enlistment, ProjectMeta, YearlyAggregate
 from baserates.ingest import IngestReport, RecordDiagnostic
-from baserates.report import MetricSection, Report
+from baserates.report import MetricSection
 from baserates.sloc import FileCount, LanguageSyntax, LineCounts, TreeCount
 from baserates.stats import BoxplotData, Metric, MetricSummary
 from baserates.validate import AfterCutoff, ValidationReport
@@ -69,18 +69,6 @@ IMMUTABLE = [
         " median_attainers=(('p', 2012),), iqr=0.0, observations=1, outliers=0),"
         " boxplot=BoxplotData(q1=1.0, median=2.0, q3=3.0, whisker_low=0.5, whisker_high=3.5,"
         " outlier_values=(9.0,)), undefined_excluded=1)",
-    ),
-    (
-        Report({"cutoff_year": 2012}, VALIDATION, (SECTION,)),
-        "config validation sections",
-        "Report(config={'cutoff_year': 2012}, validation=ValidationReport(projects_collected=3,"
-        " excluded_missing_data=1, excluded_svn_config=1, projects_remaining=1,"
-        " months_before_rule3=14, excluded_negative_size=2, months_remaining=12,"
-        " years_remaining=1, after_cutoff=AfterCutoff(projects=1, months=12, years=1)),"
-        " sections=(MetricSection(summary=MetricSummary(metric=<Metric.CS: 'CS'>, median=10.0,"
-        " median_attainers=(('p', 2012),), iqr=0.0, observations=1, outliers=0),"
-        " boxplot=BoxplotData(q1=1.0, median=2.0, q3=3.0, whisker_low=0.5, whisker_high=3.5,"
-        " outlier_values=(9.0,)), undefined_excluded=1),))",
     ),
     (
         LanguageSyntax("c", (".c",), ("//",), (("/*", "*/"),), ('"',)),
