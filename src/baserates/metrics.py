@@ -100,15 +100,5 @@ def write_aggregates_csv(aggregates: Iterable[YearlyAggregate], path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(AGGREGATES_HEADER)
-        for aggregate in aggregates:
-            writer.writerow(
-                [
-                    aggregate.project,
-                    aggregate.year,
-                    aggregate.cs,
-                    "" if aggregate.cga is None else aggregate.cga,
-                    "" if aggregate.cgi is None else repr(aggregate.cgi),
-                    aggregate.age,
-                    aggregate.months_present,
-                ]
-            )
+        # csv writes None as an empty cell and a float by its repr.
+        writer.writerows(aggregates)

@@ -13,9 +13,13 @@ each match a whole comment or string, and a backslash in a string skips
 the next character. Splitting the text on that regex masks it: comments
 drop out, a string keeps its opener, and a block comment over several
 lines keeps the newline that ends its first line, so each line not
-wholly inside a block maps to one masked line. A non-blank line is code
-when its masked line still holds non-whitespace. Lines end at ``\\n``;
-a ``\\r`` before it is whitespace.
+wholly inside a block maps to one masked line.
+
+Lines end at ``\\n`` only, and a final line without one still counts.
+Counting splits the text there once and the masked text once more; a
+line is blank when it is empty or ``str.isspace`` accepts it, so a
+``\\r``, U+00A0 and U+3000 are whitespace and U+200B and U+FEFF are not.
+A non-blank line is code when its masked line is not blank too.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
-
-_NON_BLANK = re.compile(r"\S[^\n]*")
 
 # A possessive repeat (Python 3.11+) keeps no backtracking state per escape;
 # no token fails once its opener matched, so a greedy one matches the same.
@@ -146,14 +148,20 @@ def classify_lines(text: str, syntax: LanguageSyntax) -> LineCounts:
 
     The three counts always sum to the number of physical lines.
     """
-    physical = text.count("\n")
-    if text and not text.endswith("\n"):
-        physical += 1
-    non_blank = len(_NON_BLANK.findall(text))
+    lines = text.split("\n")
+    physical = len(lines) - (lines[-1] == "")
+    non_blank = _non_blank(lines)
+    del lines  # one line list alive at a time keeps the peak down
     tokens = _tokens(syntax)
-    masked = "".join(filter(None, tokens.split(text))) if tokens else text
-    code = len(_NON_BLANK.findall(masked))
+    if tokens is None:
+        return LineCounts(non_blank, 0, physical - non_blank)
+    code = _non_blank("".join(filter(None, tokens.split(text))).split("\n"))
     return LineCounts(code, non_blank - code, physical - non_blank)
+
+
+def _non_blank(lines: list[str]) -> int:
+    """How many ``lines`` hold a character that ``str.isspace`` rejects."""
+    return len(lines) - lines.count("") - sum(map(str.isspace, lines))
 
 
 def default_registry() -> list[LanguageSyntax]:

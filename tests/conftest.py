@@ -108,6 +108,8 @@ SLOC_MANIFEST = {
     "only_comment.c": (0, 2, 0),
     "mixed.sh": (2, 2, 0),
     "unclosed.c": (0, 2, 0),
+    # Whitespace beyond ASCII, U+200B and U+FEFF, a lone CR, no final newline.
+    "unicode_space.c": (4, 2, 5),
 }
 
 

@@ -237,3 +237,16 @@ class TestAggregatesCsv:
         assert row[:4] == ["p", "2012", "121", "21"]
         assert row[4] == "1.21"
         assert row[5:] == ["0", "3"]
+
+    @pytest.mark.parametrize(
+        "facts,policy,row",
+        [
+            ([make_month("p", 2012, 6, 100)], GROWTHLESS_ZERO, "p,2012,100,0,1.0,0,1"),
+            (month_run("p", 2012, [3, 1]), GROWTHLESS_UNDEFINED, "p,2012,3,-2,0.3333333333333333,0,2"),
+        ],
+        ids=["zero-policy", "float-repr"],
+    )
+    def test_row_text(self, tmp_path, facts, policy, row):
+        path = tmp_path / "aggregates.csv"
+        write_aggregates_csv(aggregate_all(facts, policy=policy), path)
+        assert path.read_text(encoding="utf-8").splitlines()[1] == row

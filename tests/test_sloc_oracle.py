@@ -61,9 +61,12 @@ def delimiters(syntax: LanguageSyntax) -> list[str]:
 
 
 ALL_DELIMITERS = sorted({d for syntax in SYNTAXES for d in delimiters(syntax)})
-# Escapes, line ends, blank lines and whitespace beyond ASCII that both
-# `str.strip` and the `\S` search treat as space.
-FILLER = [*" \t\x0b\x1c\xa0\u2003\u3000\r\\\\xq*/-}", "\n", "\r\n", "\n  \n", "\n\n"]
+# Escapes, line ends, blank lines, whitespace beyond ASCII (`str.isspace`
+# and `str.strip` agree on it), and U+200B and U+FEFF, which are not space.
+FILLER = [
+    *" \t\x0b\x1c\x1f\x85\xa0\u2003\u2028\u2029\u205f\u3000\u200b\ufeff\r\\\\xq*/-}",
+    *["\n", "\r\n", "\n  \n", "\n\n"],
+]
 
 
 def text_for(syntax: LanguageSyntax):
@@ -210,6 +213,16 @@ def test_adversarial_examples(text, expected):
     counts = classify_lines(text, ADVERSARIAL)
     assert (counts.code, counts.comment, counts.blank) == expected
     assert_matches_oracle(text, ADVERSARIAL)
+
+
+def test_every_code_point_is_blank_exactly_when_str_isspace_accepts_it():
+    points = [chr(point) for point in range(0x110000) if point != 0x0A]
+    text = "\n".join(points)
+    counts = classify_lines(text, extension_map(default_registry())[".txt"])
+    assert counts.blank == sum(map(str.isspace, points))
+    # The rule the counter used before it split lines: one `\S[^\n]*` match per code line.
+    assert counts.code == len(re.findall(r"\S[^\n]*", text))
+    assert (counts.comment, counts.total) == (0, len(points))
 
 
 def test_real_sources_match_oracle(tmp_path, monkeypatch):
