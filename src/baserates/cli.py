@@ -10,7 +10,6 @@ import contextlib
 import csv
 import gc
 import json
-import logging
 import sys
 from itertools import chain, islice
 from pathlib import Path
@@ -25,8 +24,8 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_EMPTY = 3  # validation left no survivors; the reports are still written
 
-# Input diagnostics per stderr write: thousands cost a few writes, and no
-# batch, unlike all of them joined, holds much at the run's peak.
+# Lines per stderr write: thousands of input diagnostics cost a few writes,
+# and no batch, unlike all of them joined, holds much at the run's peak.
 _WARNING_BATCH = 100
 
 
@@ -76,10 +75,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(lines) -> None:
+    """Write each line to stderr as ``baserates: <line>``, a batch of lines per write.
+
+    Every diagnostic the package writes passes here; only argparse writes
+    its usage errors itself. A stderr that fails (closed, a broken pipe) is
+    ignored: it changes no exit code or output.
+    """
+    lines, stderr = iter(lines), sys.stderr
+    try:
+        while batch := "".join(f"baserates: {line}\n" for line in islice(lines, _WARNING_BATCH)):
+            stderr.write(batch)
+        stderr.flush()
+    except OSError:
+        pass
+
+
+def _warn(diagnostics) -> None:
+    """Write each diagnostic as a ``baserates: WARNING:`` line through ``_write``."""
+    _write(f"WARNING: {d}" for d in diagnostics)
+
+
 def _fail(code: int, message: str) -> int:
-    """Print one diagnostic and return ``code``; usage errors read like argparse's."""
+    """Write one diagnostic and return ``code``; usage errors read like argparse's."""
     kind = "error: " if code == EXIT_USAGE else ""
-    print(f"baserates: {kind}{message}", file=sys.stderr)
+    _write([kind + message])
     return code
 
 
@@ -96,6 +116,7 @@ def _cmd_count(args) -> int:
         return _fail(EXIT_IO, f"cannot load registry: {exc}")
     try:
         tree = sloc.count_tree(args.root, registry)
+        _warn(f"skipping unreadable {entry}" for entry in tree.unreadable)
         with (
             open(args.out, "w", encoding="utf-8", newline="")
             if args.out
@@ -106,12 +127,9 @@ def _cmd_count(args) -> int:
         return _fail(EXIT_IO, str(exc))
 
     if tree.skipped:
-        print(
-            f"baserates: skipped {tree.skipped} file(s) with unregistered extensions",
-            file=sys.stderr,
-        )
+        _write([f"skipped {tree.skipped} file(s) with unregistered extensions"])
     if not tree.files:
-        print("baserates: no registered source files found", file=sys.stderr)
+        _write(["no registered source files found"])
     return EXIT_OK
 
 
@@ -195,19 +213,6 @@ def _observations(metric, aggregates, cutoff_year: int) -> tuple[list, int]:
     return observations, len(aggregates) - len(observations)
 
 
-def _warn(diagnostics) -> None:
-    """Write each diagnostic as a ``baserates: WARNING:`` line, a batch per stderr write."""
-    diagnostics, stderr = iter(diagnostics), sys.stderr
-    try:
-        while batch := "".join(
-            f"baserates: WARNING: {d}\n" for d in islice(diagnostics, _WARNING_BATCH)
-        ):
-            stderr.write(batch)
-        stderr.flush()
-    except OSError:  # as under a logging handler, a stderr that fails fails no run
-        pass
-
-
 def run_analyze(config: dict) -> int:
     """Ingest, validate, derive, summarize, and write all report artifacts."""
     from . import ingest, report, stats, validate
@@ -236,6 +241,8 @@ def run_analyze(config: dict) -> int:
     survivors, validation_report = validate.validate_dataset(
         metas, monthly, cutoff_year
     )
+    if monthly and not survivors:
+        _warn([f"no project-month survived validation with cut-off year {cutoff_year}"])
     # Each data set is freed at its last use, so no later stage's peak includes it.
     del metas, monthly
     aggregates = metrics.aggregate_all(survivors, config["growthless_year_policy"])
@@ -287,13 +294,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # A handler per call for the library's warnings (_warn writes the input
-    # diagnostics), so each call's reach the stderr current at that call;
-    # records still propagate to any handlers the caller installed.
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("baserates: %(levelname)s: %(message)s"))
-    package_logger = logging.getLogger("baserates")
-    package_logger.addHandler(handler)
     # The records a run builds hold no reference cycles, so the cyclic GC's
     # passes over them are pure overhead. The caller's setting is restored.
     gc_was_enabled = gc.isenabled()
@@ -301,7 +301,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     finally:
-        package_logger.removeHandler(handler)
         if gc_was_enabled:
             gc.enable()
 

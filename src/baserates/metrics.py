@@ -8,15 +8,12 @@ months of change into one year's growth.
 from __future__ import annotations
 
 import csv
-import logging
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
 from .facts import SizeRecord, YearlyAggregate
-
-logger = logging.getLogger(__name__)
 
 GROWTHLESS_UNDEFINED = "undefined"
 GROWTHLESS_ZERO = "zero"
@@ -61,12 +58,6 @@ def aggregate_all(
     for (name, next_year, month), loc, _, _ in chain(sorted(facts, key=itemgetter(0)), [_END]):
         if next_year != year or name != project:
             if present:
-                omitted = growth_months - ratios
-                if omitted:
-                    logger.debug(
-                        "%s %d: %d undefined monthly ratio(s) omitted from the growth index",
-                        project, year, omitted,
-                    )
                 aggregates.append(new(YearlyAggregate, (
                     project, year, cs, cga if growth_months else no_cga,
                     num / den if ratios else no_cgi, year - start_year, present,

@@ -25,7 +25,6 @@ A non-blank line is code when its masked line is not blank too.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 import stat
@@ -34,8 +33,6 @@ from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
-
-logger = logging.getLogger(__name__)
 
 # A possessive repeat (Python 3.11+) keeps no backtracking state per escape;
 # no token fails once its opener matched, so a greedy one matches the same.
@@ -296,9 +293,7 @@ def count_tree(root, registry) -> TreeCount:
     per_language: dict[str, list[LineCounts]] = {}
 
     def skip_directory(exc: OSError) -> None:
-        message = f"{Path(exc.filename)}: {exc.strerror or exc}"
-        result.unreadable.append(message)
-        logger.warning("skipping unreadable directory %s", message)
+        result.unreadable.append(f"{Path(exc.filename)}: {exc.strerror or exc}")
 
     for dirpath, dirnames, filenames in os.walk(top, onerror=skip_directory):
         dirnames.sort()
@@ -316,9 +311,7 @@ def count_tree(root, registry) -> TreeCount:
             try:
                 counts = _read_and_classify(shown + relative, syntax)
             except OSError as exc:
-                message = f"{shown}{relative}: {exc.strerror or exc}"
-                result.unreadable.append(message)
-                logger.warning("skipping unreadable file %s", message)
+                result.unreadable.append(f"{shown}{relative}: {exc.strerror or exc}")
                 continue
             result.files.append(FileCount(relative, syntax.name, counts))
             per_language.setdefault(syntax.name, []).append(counts)

@@ -8,14 +8,11 @@ project-level predicates, so swapping them never changes the survivors.
 
 from __future__ import annotations
 
-import logging
 import re
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .facts import ProjectMeta, SizeRecord
-
-logger = logging.getLogger(__name__)
 
 # A scoped SVN checkout points at one code directory. URLs matching none
 # of these (case-insensitive, matched against the whole URL) pull in all
@@ -119,7 +116,8 @@ def validate_dataset(
     their input order.
 
     A cut-off preceding every record is not an error: the survivor set
-    is empty and a warning is logged.
+    comes back empty, as do the ``after_cutoff`` counts. Nothing is
+    written to stderr; the ``baserates`` command warns about it.
     """
     meta_by_name = {meta.name: meta for meta in metas}
     monthly_facts = sorted(monthly_facts, key=itemgetter(0))  # by key
@@ -159,11 +157,6 @@ def validate_dataset(
         if year <= cutoff_year:
             survive(fact)
     rule1 += len(meta_by_name) - rule2 - remaining  # and the metadata without facts
-
-    if monthly_facts and not survivors:
-        logger.warning(
-            "no project-month survived validation with cut-off year %d", cutoff_year
-        )
 
     report = ValidationReport(
         projects_collected=rule1 + rule2 + remaining,

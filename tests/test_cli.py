@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
+import os
 import shutil
 import sys
 
@@ -79,6 +81,37 @@ class TestCount:
         captured = capsys.readouterr()
         assert "(total),(all),0,0,0" in captured.out
         assert "skipped" in captured.err
+
+    def test_unreadable_entries_are_warned_before_the_csv(self, tmp_path, monkeypatch):
+        # Root lists any directory whatever its mode, so the denial is simulated.
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "a.c").write_text("int a;\n", encoding="utf-8")
+        (tmp_path / "sub" / "b.c").write_text("int b;\n", encoding="utf-8")
+        (tmp_path / "blob.xyz").write_text("data\n", encoding="utf-8")
+        (tmp_path / "gone.c").symlink_to(tmp_path / "absent.c")
+        real_scandir = os.scandir
+
+        def scandir(path):
+            if os.path.basename(path) == "sub":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        both = io.StringIO()  # stdout and stderr in the order they are written
+        monkeypatch.setattr(sys, "stdout", both)
+        monkeypatch.setattr(sys, "stderr", both)
+        assert main(["count", "--root", str(tmp_path)]) == EXIT_OK
+        assert both.getvalue().splitlines() == [
+            f"baserates: WARNING: skipping unreadable {tmp_path / 'gone.c'}: "
+            + os.strerror(errno.ENOENT),
+            f"baserates: WARNING: skipping unreadable {tmp_path / 'sub'}: "
+            + os.strerror(errno.EACCES),
+            "path,language,code,comment,blank",
+            "a.c,clike,1,0,0",
+            "(total),clike,1,0,0",
+            "(total),(all),1,0,0",
+            "baserates: skipped 1 file(s) with unregistered extensions",
+        ]
 
     def test_custom_registry(self, tmp_path, capsys):
         registry = tmp_path / "registry.json"
@@ -280,6 +313,11 @@ class TestAnalyze:
         copy_corpus(tmp_path)
         argv = analyze_args(tmp_path, **{"cutoff-year": "1990"})
         assert main(argv) == EXIT_EMPTY
+        assert capsys.readouterr().err.splitlines() == [
+            "baserates: WARNING: no project-month survived validation with cut-off year 1990",
+            "baserates: validation eliminated every project-month; "
+            "reports written with empty metrics",
+        ]
         report_text = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
         assert "no metrics computed" in report_text
         doc = json.loads(
@@ -514,6 +552,23 @@ class TestAnalyze:
         assert main(argv) == EXIT_OK
         assert {path.name: path.read_bytes() for path in out.iterdir()} == written
         assert "boxplot_cs.svg" in written
+
+        # Nor does it change an exit code: each of these runs writes to stderr.
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "a.c").write_text("int a;\n", encoding="utf-8")
+        (tree / "blob.xyz").write_text("data\n", encoding="utf-8")  # skipped
+        (tree / "gone.c").symlink_to(tree / "absent.c")  # unreadable
+        counts = tmp_path / "counts.csv"
+        assert main(["count", "--root", str(tree), "--out", str(counts)]) == EXIT_OK
+        assert counts.read_text(encoding="utf-8").splitlines() == [
+            "path,language,code,comment,blank",
+            "a.c,clike,1,0,0",
+            "(total),clike,1,0,0",
+            "(total),(all),1,0,0",
+        ]
+        assert main(analyze_args(tmp_path, **{"cutoff-year": "1990"})) == EXIT_EMPTY
+        assert main(analyze_args(tmp_path, facts=tmp_path / "absent.csv")) == EXIT_IO
 
     def test_inputs_are_freed_before_the_later_stages(self, tmp_path, monkeypatch):
         # main turns the cyclic GC off, so every record of the run stays

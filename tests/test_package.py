@@ -80,7 +80,7 @@ FRESH_IMPORTS = """
 import sys
 from baserates import cli
 
-watched = ["dataclasses"]
+watched = ["dataclasses", "logging"]
 watched += ["baserates." + name for name in ("ingest", "report", "sloc", "stats", "validate")]
 cli.build_parser()
 print([name for name in watched if name in sys.modules])
