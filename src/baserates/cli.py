@@ -241,8 +241,6 @@ def run_analyze(config: dict) -> int:
     survivors, validation_report = validate.validate_dataset(
         metas, monthly, cutoff_year
     )
-    if monthly and not survivors:
-        _warn([f"no project-month survived validation with cut-off year {cutoff_year}"])
     # Each data set is freed at its last use, so no later stage's peak includes it.
     del metas, monthly
     aggregates = metrics.aggregate_all(survivors, config["growthless_year_policy"])

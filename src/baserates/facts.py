@@ -7,22 +7,11 @@ from typing import Iterable, NamedTuple
 MIN_YEAR = 1950
 
 
-# Repository types, lowercased, that the SVN configuration screen applies
-# to: plain and sync-mirrored Subversion.
-_SVN_KINDS = frozenset(
-    {"svn", "subversion", "svnrepository", "svnsync", "svnsyncrepository"}
-)
-
-
 class Enlistment(NamedTuple):
     """One registered source-code location; ``kind`` keeps the type string verbatim."""
 
     kind: str
     url: str
-
-    @property
-    def is_svn(self) -> bool:
-        return self.kind.strip().lower() in _SVN_KINDS
 
 
 class _ProjectMeta(NamedTuple):

@@ -4,6 +4,8 @@ Rules apply in a fixed order: projects with missing data, projects with
 an unscoped SVN configuration, then individual months with negative code
 size, and finally the cut-off year. Rules one and two are independent
 project-level predicates, so swapping them never changes the survivors.
+Rule two is decided here whole: which enlistment types are SVN, and which
+SVN URLs are scoped. Each distinct type string is decided once per call.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .facts import ProjectMeta, SizeRecord
+
+# Repository types, stripped and lowercased, that rule two applies to: plain
+# and sync-mirrored Subversion. Every other type, known or not, is non-SVN.
+_SVN_KINDS = frozenset({"svn", "subversion", "svnrepository", "svnsync", "svnsyncrepository"})
 
 # A scoped SVN checkout points at one code directory. URLs matching none
 # of these (case-insensitive, matched against the whole URL) pull in all
@@ -33,18 +39,12 @@ _SVN_URL_REGEX = re.compile(
 )
 
 
-def check_svn_enlistments(meta: ProjectMeta) -> tuple[bool, list[str]]:
-    """Screen a project's SVN enlistment URLs for properly scoped directories.
+class _SvnKinds(dict):
+    """Type string -> whether it is SVN, decided the first time the string is looked up."""
 
-    Returns (passed, offending_urls). Projects without SVN enlistments
-    pass vacuously; one offending URL fails the whole project.
-    """
-    offending = [
-        e.url
-        for e in meta.enlistments
-        if e.is_svn and not _SVN_URL_REGEX.fullmatch(e.url)
-    ]
-    return not offending, offending
+    def __missing__(self, kind: str) -> bool:
+        self[kind] = svn = kind.strip().lower() in _SVN_KINDS
+        return svn
 
 
 class AfterCutoff(NamedTuple):
@@ -106,10 +106,10 @@ def validate_dataset(
     Rule 1 drops projects without usable joined months: missing size
     facts, missing activity facts, a join that came up empty, or facts
     for a project that has no metadata at all. Rule 2 drops projects
-    failing the SVN configuration screen. Rule 3 drops individual months
-    with negative code size. Months after the cut-off year are dropped
-    last; a project with no month left after the cut-off no longer
-    counts as remaining.
+    with an SVN enlistment whose URL is not scoped. Rule 3 drops
+    individual months with negative code size. Months after the cut-off
+    year are dropped last; a project with no month left after the
+    cut-off no longer counts as remaining.
 
     The facts may come in any order. The survivors come back sorted by
     key, that is by (project, year, month); facts with equal keys keep
@@ -117,9 +117,10 @@ def validate_dataset(
 
     A cut-off preceding every record is not an error: the survivor set
     comes back empty, as do the ``after_cutoff`` counts. Nothing is
-    written to stderr; the ``baserates`` command warns about it.
+    written to stderr; the ``baserates`` command exits with code 3.
     """
     meta_by_name = {meta.name: meta for meta in metas}
+    svn_kinds, scoped = _SvnKinds(), _SVN_URL_REGEX.fullmatch
     monthly_facts = sorted(monthly_facts, key=itemgetter(0))  # by key
 
     # One walk over the sorted facts, which reads a record's key as fact[0]
@@ -135,9 +136,10 @@ def validate_dataset(
         key = fact[0]
         if key[0] != project:
             project, year, remains = key[0], None, False
-            if project not in meta_by_name:
+            meta = meta_by_name.get(project)
+            if meta is None:
                 rule1 += 1
-            elif not check_svn_enlistments(meta_by_name[project])[0]:
+            elif any(svn_kinds[kind] and not scoped(url) for kind, url in meta.enlistments):
                 rule2 += 1
             else:
                 remaining += 1

@@ -27,7 +27,7 @@ from baserates.stats import (
     boxplot_data,
     summarize,
 )
-from baserates.validate import SVN_URL_PATTERNS, check_svn_enlistments, validate_dataset
+from baserates.validate import SVN_URL_PATTERNS, validate_dataset
 from conftest import SLOC_DIR, SLOC_MANIFEST, load_corpus, make_month
 
 
@@ -153,11 +153,7 @@ def test_validation_fixture_reproduces_hand_enumeration():
             for meta in metas
             if not months_by_project.get(meta.name)
         }
-        rule2 = {
-            name
-            for name in months_by_project
-            if name not in rule1 and not check_svn_enlistments(meta_by_name[name])[0]
-        }
+        rule2 = {"golf"}  # its one SVN URL is top-level; bravo's is trunk
         totals = {"rule1": 0, "rule2": 0, "rule3": 0, "cutoff": 0, "survivor": 0}
         for fact in monthly:
             memberships = []
@@ -218,11 +214,18 @@ SVN_URL_CASES = [
 def test_svn_regex_suite():
     with criterion(f"{len(SVN_URL_CASES)} SVN URLs classified with zero errors"):
         assert len(SVN_URL_CASES) >= 20
+        # One project a URL, all screened in one call.
+        metas = [
+            ProjectMeta(f"p{i:02d}", (Enlistment("SvnRepository", url),))
+            for i, (url, _) in enumerate(SVN_URL_CASES)
+        ]
+        monthly = [make_month(meta.name, 2010, 1, 10) for meta in metas]
+        survivors, report = validate_dataset(metas, monthly, cutoff_year=2010)
+        passed = {fact.key.project for fact in survivors}
+        assert report.excluded_svn_config == len(metas) - len(passed)
         errors = []
-        for url, expected in SVN_URL_CASES:
-            meta = ProjectMeta("p", (Enlistment("SvnRepository", url),))
-            passed, _ = check_svn_enlistments(meta)
-            if passed != expected:
+        for meta, (url, expected) in zip(metas, SVN_URL_CASES):
+            if (meta.name in passed) != expected:
                 errors.append(url)
             # cross-check with a direct evaluation of the published patterns
             reference = any(

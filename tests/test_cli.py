@@ -314,7 +314,6 @@ class TestAnalyze:
         argv = analyze_args(tmp_path, **{"cutoff-year": "1990"})
         assert main(argv) == EXIT_EMPTY
         assert capsys.readouterr().err.splitlines() == [
-            "baserates: WARNING: no project-month survived validation with cut-off year 1990",
             "baserates: validation eliminated every project-month; "
             "reports written with empty metrics",
         ]
@@ -324,6 +323,21 @@ class TestAnalyze:
             (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
         )
         assert doc["validation"]["after_cutoff"]["months"] == 0
+
+    def test_rule_1_emptying_the_survivors_blames_no_cutoff(self, tmp_path, capsys):
+        # Rule 1 removes every project, zzz too; the cut-off removes nothing.
+        copy_corpus(tmp_path)
+        (tmp_path / "metadata.jsonl").write_text(
+            '{"name": "zzz", "enlistments": [], "tags": []}\n', encoding="utf-8"
+        )
+        assert main(analyze_args(tmp_path)) == EXIT_EMPTY
+        assert capsys.readouterr().err.splitlines() == [
+            "baserates: validation eliminated every project-month; "
+            "reports written with empty metrics",
+        ]
+        doc = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert doc["validation"]["projects_collected"] == 9
+        assert doc["validation"]["excluded_missing_data"] == 9
 
     def test_growthless_policy_changes_observation_counts(self, tmp_path):
         copy_corpus(tmp_path)

@@ -1,4 +1,4 @@
-"""Domain model: keys, joining, SVN enlistment detection."""
+"""Domain model: keys, joining, enlistment types as the SVN screen reads them."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from baserates.facts import (
     SizeRecord,
     join_facts,
 )
+from baserates.validate import validate_dataset
 
 
 def size_record(project, year, month, loc=100):
@@ -48,6 +49,14 @@ class TestFactKey:
             FactKey(project, year, month)
 
 
+def screened_as_svn(kind):
+    """Whether rule 2 reads the type as SVN: an unscoped URL of it excludes the project."""
+    metas = [ProjectMeta("p", (Enlistment(kind, "https://x.org/repo"),))]
+    survivors, report = validate_dataset(metas, [size_record("p", 2010, 1)], 2010)
+    assert report.excluded_svn_config + len(survivors) == 1
+    return not survivors
+
+
 class TestEnlistmentIsSvn:
     @pytest.mark.parametrize(
         "raw,is_svn",
@@ -63,17 +72,17 @@ class TestEnlistmentIsSvn:
         ],
     )
     def test_known_spellings(self, raw, is_svn):
-        assert Enlistment(raw, "https://x.org/repo").is_svn is is_svn
+        assert screened_as_svn(raw) is is_svn
 
     def test_unknown_kind_is_preserved_and_not_svn(self):
         enlistment = Enlistment("FossilRepository", "https://x.org/repo")
         assert enlistment.kind == "FossilRepository"
-        assert not enlistment.is_svn
+        assert not screened_as_svn(enlistment.kind)
 
     def test_svn_variants_flagged(self):
-        assert Enlistment("SvnRepository", "u").is_svn
-        assert Enlistment("SvnSyncRepository", "u").is_svn
-        assert not Enlistment("GitRepository", "u").is_svn
+        assert screened_as_svn("SvnRepository")
+        assert screened_as_svn("SvnSyncRepository")
+        assert not screened_as_svn("GitRepository")
 
 
 class TestJoinFacts:

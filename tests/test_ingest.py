@@ -49,13 +49,14 @@ class TestReadMetadata:
         assert report.malformed_records == 0
 
     def test_svn_repository_type_maps_to_svn_kind(self, tmp_path):
+        # The type string is kept as written; validate_dataset decides what it means.
         path = tmp_path / "meta.jsonl"
         write_lines(
             path,
-            '{"name": "p", "enlistments": [{"type": "SvnRepository", "url": "http://svn/x/trunk"}]}',
+            '{"name": "p", "enlistments": [{"type": " SvnRepository ", "url": "http://svn/x/trunk"}]}',
         )
         metas, _ = read_metadata(path)
-        assert metas[0].enlistments[0].is_svn
+        assert metas[0].enlistments[0] == (" SvnRepository ", "http://svn/x/trunk")
 
     def test_empty_name_is_malformed(self, tmp_path):
         path = tmp_path / "meta.jsonl"

@@ -18,7 +18,6 @@ import csv
 import importlib
 import io
 import json
-import logging
 import tempfile
 from pathlib import Path
 
@@ -54,17 +53,7 @@ def analyze(settings: dict) -> tuple[int, str, bytes, bytes]:
     ]
     stderr += [f"baserates: WARNING: {diagnostic}\n" for diagnostic in join_diagnostics]
 
-    warnings: list[logging.LogRecord] = []
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = warnings.append
-    test_validate_oracle.logger.addHandler(handler)
-    try:
-        survivors, validation = test_validate_oracle.validate_dataset(
-            metas, monthly, cutoff_year
-        )
-    finally:
-        test_validate_oracle.logger.removeHandler(handler)
-    stderr += [f"baserates: WARNING: {record.getMessage()}\n" for record in warnings]
+    survivors, validation = test_validate_oracle.validate_dataset(metas, monthly, cutoff_year)
     aggregates = test_metrics_oracle.aggregate_all(
         survivors, settings["growthless_year_policy"]
     )

@@ -12,62 +12,52 @@ from baserates.validate import (
     SVN_URL_PATTERNS,
     AfterCutoff,
     ValidationReport,
-    check_svn_enlistments,
     table_rows,
     validate_dataset,
 )
 from conftest import load_corpus, make_month
+from test_validate_oracle import check_svn_enlistments, is_svn
 
 
-def svn_project(url, kind="SvnRepository"):
-    return ProjectMeta("p", (Enlistment(kind, url),))
+def passes_svn_screen(*enlistments):
+    """Whether one project of one month with these enlistments survives rule 2."""
+    metas = [ProjectMeta("p", enlistments)]
+    survivors, report = validate_dataset(metas, [make_month("p", 2010, 1, 10)], 2010)
+    assert report.excluded_svn_config + len(survivors) == 1
+    return bool(survivors)
+
+
+def svn(url, kind="SvnRepository"):
+    return Enlistment(kind, url)
 
 
 class TestCheckSvnEnlistments:
+    """Rule 2 as ``validate_dataset`` applies it to one project."""
+
     def test_trunk_url_passes(self):
-        passed, offending = check_svn_enlistments(
-            svn_project("http://svn.example.org/repo/trunk")
-        )
-        assert passed and offending == []
+        assert passes_svn_screen(svn("http://svn.example.org/repo/trunk"))
 
     def test_top_level_url_fails(self):
-        passed, offending = check_svn_enlistments(
-            svn_project("http://svn.example.org/repo")
-        )
-        assert not passed
-        assert offending == ["http://svn.example.org/repo"]
+        assert not passes_svn_screen(svn("http://svn.example.org/repo"))
 
     def test_git_only_project_passes_vacuously(self):
-        meta = ProjectMeta("p", (Enlistment("GitRepository", "http://x/repo"),))
-        assert check_svn_enlistments(meta) == (True, [])
+        assert passes_svn_screen(Enlistment("GitRepository", "http://x/repo"))
 
     def test_no_enlistments_passes(self):
-        assert check_svn_enlistments(ProjectMeta("p")) == (True, [])
+        assert passes_svn_screen()
 
     def test_mixed_case_tags_url_passes_and_matches_reference_engine(self):
         url = "http://svn.example.org/repo/TAGS/v1"
-        passed, _ = check_svn_enlistments(svn_project(url))
         reference = any(
             re.fullmatch(pattern, url, re.IGNORECASE) for pattern in SVN_URL_PATTERNS
         )
-        assert passed and reference
+        assert passes_svn_screen(svn(url)) and reference
 
     def test_svnsync_enlistments_are_screened_too(self):
-        passed, _ = check_svn_enlistments(
-            svn_project("http://svn.example.org/repo", kind="SvnSyncRepository")
-        )
-        assert not passed
+        assert not passes_svn_screen(svn("http://svn.example.org/repo", kind="SvnSyncRepository"))
 
     def test_one_bad_url_fails_project_with_good_urls(self):
-        meta = ProjectMeta(
-            "p",
-            (
-                Enlistment("SvnRepository", "http://svn/x/trunk"),
-                Enlistment("SvnRepository", "http://svn/x"),
-            ),
-        )
-        passed, offending = check_svn_enlistments(meta)
-        assert not passed and offending == ["http://svn/x"]
+        assert not passes_svn_screen(svn("http://svn/x/trunk"), svn("http://svn/x"))
 
 
 def project(name, *enlistments):
@@ -152,7 +142,7 @@ class TestValidateDataset:
         passing = [
             meta.name
             for meta in metas
-            if not any(e.is_svn and e.url == unscoped for e in meta.enlistments)
+            if not any(is_svn(e.kind) and e.url == unscoped for e in meta.enlistments)
         ]
         assert [fact.key.project for fact in survivors] == sorted(passing)
         assert report.excluded_svn_config == 8  # four SVN kinds, twice

@@ -2,17 +2,16 @@
 
 ``check_svn_enlistments`` and ``validate_dataset`` below are the
 validation code the package used before it screened each URL with one
-alternation and walked each project once. They try every SVN pattern in
-turn, filter the facts twice and count years with sets of (project,
-year) pairs, and serve here as the oracle: on any metadata, facts and
-cut-off, the package must return survivors and a report with the same
-``repr``. The oracle still logs the warning for an empty survivor set,
-which ``test_pipeline_oracle`` turns into the stderr the CLI must print.
+alternation, decided each enlistment type once and walked each project
+once. They decide every enlistment's type anew with ``is_svn``, try
+every SVN pattern in turn, filter the facts twice and count years with
+sets of (project, year) pairs, and serve here as the oracle: on any
+metadata, facts and cut-off, the package must return survivors and a
+report with the same ``repr``.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from itertools import groupby
 from operator import attrgetter
@@ -26,9 +25,17 @@ from baserates.facts import Enlistment, ProjectMeta, SizeRecord
 from baserates.validate import SVN_URL_PATTERNS, AfterCutoff, ValidationReport
 from conftest import make_month
 
-logger = logging.getLogger(__name__)
-
 _SVN_URL_REGEXES = tuple(re.compile(p, re.IGNORECASE) for p in SVN_URL_PATTERNS)
+
+
+# The repository types, stripped and lowercased, that rule 2 applies to:
+# plain and sync-mirrored Subversion.
+_SVN_KINDS = ("svn", "subversion", "svnrepository", "svnsync", "svnsyncrepository")
+
+
+def is_svn(kind: str) -> bool:
+    """Whether rule 2 applies to an enlistment of this type."""
+    return kind.strip().lower() in _SVN_KINDS
 
 
 def check_svn_enlistments(meta: ProjectMeta) -> tuple[bool, list[str]]:
@@ -40,7 +47,7 @@ def check_svn_enlistments(meta: ProjectMeta) -> tuple[bool, list[str]]:
     offending = [
         e.url
         for e in meta.enlistments
-        if e.is_svn and not any(rx.fullmatch(e.url) for rx in _SVN_URL_REGEXES)
+        if is_svn(e.kind) and not any(rx.fullmatch(e.url) for rx in _SVN_URL_REGEXES)
     ]
     return not offending, offending
 
@@ -68,7 +75,7 @@ def validate_dataset(
     their input order.
 
     A cut-off preceding every record is not an error: the survivor set
-    is empty and a warning is logged.
+    is empty.
     """
     meta_by_name = {meta.name: meta for meta in metas}
     monthly_facts = sorted(monthly_facts, key=attrgetter("key"))
@@ -107,11 +114,6 @@ def validate_dataset(
         months=len(survivors),
         years=len({(fact.key.project, fact.key.year) for fact in survivors}),
     )
-    if monthly_facts and not survivors:
-        logger.warning(
-            "no project-month survived validation with cut-off year %d", cutoff_year
-        )
-
     report = ValidationReport(
         projects_collected=len(collected),
         excluded_missing_data=len(rule1),
@@ -158,8 +160,9 @@ KINDS = st.sampled_from(
 @given(url=URLS)
 def test_svn_screen_matches_each_pattern(url):
     expected = any(re.fullmatch(p, url, re.IGNORECASE) for p in SVN_URL_PATTERNS)
-    meta = ProjectMeta("p", (Enlistment("SvnRepository", url),))
-    assert validate.check_svn_enlistments(meta) == (expected, [] if expected else [url])
+    metas = [ProjectMeta("p", (Enlistment("SvnRepository", url),))]
+    survivors, report = validate.validate_dataset(metas, [make_month("p", 2010, 1, 10)], 2010)
+    assert (report.excluded_svn_config, len(survivors)) == ((0, 1) if expected else (1, 0))
 
 
 # Sizes of a whole year at a time: all negative, none negative, or mixed.
@@ -208,3 +211,56 @@ def test_validate_dataset_matches_oracle(dataset):
     metas, facts, cutoff_year = dataset
     expected = validate_dataset(metas, facts, cutoff_year)
     assert repr(validate.validate_dataset(metas, facts, cutoff_year)) == repr(expected)
+
+
+# Type spellings rule 2 applies to and ones it skips, some of them an SVN
+# name with a character too many or too few.
+SPELLINGS = st.sampled_from(
+    [*_SVN_KINDS, "GitRepository", "hg", "svn-ish", "sv n", "svnsyncrepositor", "Subversions"]
+)
+PADDING = st.sampled_from(["", "", " ", "\t", " \n"])
+
+
+@st.composite
+def kind_spellings(draw):
+    """A type spelling in random case, padded on either side or not."""
+    letters = [c.upper() if draw(st.booleans()) else c for c in draw(SPELLINGS)]
+    return draw(PADDING) + "".join(letters) + draw(PADDING)
+
+
+def copied(text: str) -> str:
+    """An equal ``str`` that is not the same object, unlike an interned type."""
+    return "".join([text[:1], text[1:]])
+
+
+@st.composite
+def typed_datasets(draw):
+    """Metadata of up to eight projects with one month each, typed from a few spellings.
+
+    Every enlistment gets its own copy of its type's string. Projects a and
+    b share the first type, a with a scoped URL and b with an unscoped one.
+    """
+    kinds = draw(st.lists(kind_spellings(), min_size=1, max_size=4))
+    scoped = draw(st.sampled_from(["http://svn/x/trunk", "SVN://H/Tags/v1", "https://x.org/site/"]))
+    unscoped = draw(st.sampled_from(["http://svn/x", "http://svn/x/tags/", "https://x.org/trunk/y"]))
+    metas = [
+        ProjectMeta("a", (Enlistment(copied(kinds[0]), scoped),)),
+        ProjectMeta("b", (Enlistment(copied(kinds[0]), unscoped),)),
+    ]
+    enlistments = st.builds(
+        lambda kind, url: Enlistment(copied(kind), url),
+        st.sampled_from(kinds),
+        st.sampled_from([scoped, unscoped]),
+    )
+    for name in "cdefgh"[: draw(st.integers(0, 6))]:
+        metas.append(ProjectMeta(name, tuple(draw(st.lists(enlistments, max_size=3)))))
+    facts = [make_month(meta.name, 2010, 1, 10) for meta in metas]
+    return draw(st.permutations(metas)), facts
+
+
+@settings(max_examples=300, deadline=None)
+@given(dataset=typed_datasets())
+def test_each_type_screens_as_the_oracle_decides(dataset):
+    metas, facts = dataset
+    expected = validate_dataset(metas, facts, 2010)
+    assert repr(validate.validate_dataset(metas, facts, 2010)) == repr(expected)
