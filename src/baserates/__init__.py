@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # from their modules, unpromised.
 _EXPORTS = {
     **dict.fromkeys(
-        ["ActivityRecord", "Enlistment", "FactKey", "ProjectMeta", "SizeRecord",
-         "YearlyAggregate", "join_facts"],
+        ["Enlistment", "FactKey", "ProjectMeta", "SizeRecord", "YearlyAggregate",
+         "join_facts"],
         "facts",
     ),
     **dict.fromkeys(["IngestError", "IngestReport", "read_facts", "read_metadata"], "ingest"),

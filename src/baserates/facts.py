@@ -17,7 +17,6 @@ class Enlistment(NamedTuple):
 class _ProjectMeta(NamedTuple):
     name: str
     enlistments: tuple[Enlistment, ...] = ()
-    tags: tuple[str, ...] = ()
 
 
 class ProjectMeta(_ProjectMeta):
@@ -25,10 +24,10 @@ class ProjectMeta(_ProjectMeta):
 
     __slots__ = ()
 
-    def __new__(cls, name, enlistments=(), tags=()):
+    def __new__(cls, name, enlistments=()):
         if not name:
             raise ValueError("project name must be non-empty")
-        return tuple.__new__(cls, (name, enlistments, tags))
+        return tuple.__new__(cls, (name, enlistments))
 
 
 class _FactKey(NamedTuple):
@@ -60,30 +59,6 @@ class SizeRecord(NamedTuple):
 
     key: FactKey
     loc: int
-    comments: int
-    blanks: int
-
-
-class _ActivityRecord(NamedTuple):
-    key: FactKey
-    loc_added: int
-    loc_removed: int
-    commits: int
-    contributors: int
-
-
-class ActivityRecord(_ActivityRecord):
-    """Monthly change counts; all fields are non-negative by construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, key, loc_added, loc_removed, commits, contributors):
-        counts = (loc_added, loc_removed, commits, contributors)
-        if loc_added < 0 or loc_removed < 0 or commits < 0 or contributors < 0:
-            for name, value in zip(cls._fields[1:], counts):
-                if value < 0:
-                    raise ValueError(f"{name} must be >= 0, got {value}")
-        return tuple.__new__(cls, (key, *counts))
 
 
 class YearlyAggregate(NamedTuple):
@@ -99,17 +74,17 @@ class YearlyAggregate(NamedTuple):
 
 
 def join_facts(
-    size: Iterable[SizeRecord], activity: Iterable[ActivityRecord]
+    size: Iterable[SizeRecord], activity: Iterable[FactKey]
 ) -> tuple[list[SizeRecord], list[str]]:
-    """Keep the size records of the months that also have an activity record.
+    """Keep the size records of the months whose key is also an activity key.
 
-    Every metric reads only the size half, so the activity half is
-    consulted for its keys alone. Months present in only one input are
-    dropped. A duplicate key within either input rejects that whole
-    project; one diagnostic per duplicate, size records first, each in
-    input order, is returned alongside the joined records. The inputs may
-    come in any order; the size records come back sorted by key, that is
-    by (project, year, month).
+    Every metric reads only the size half, so an activity month is its
+    key alone, as ``read_facts`` returns it. Months present in only one
+    input are dropped. A duplicate key within either input rejects that
+    whole project; one diagnostic per duplicate, size records first, each
+    in input order, is returned alongside the joined records. The inputs
+    may come in any order; the size records come back sorted by key, that
+    is by (project, year, month).
     """
     rejected: set[str] = set()
     diagnostics: list[str] = []
@@ -121,8 +96,8 @@ def join_facts(
             f"{key.year}-{key.month:02d}; project rejected"
         )
 
-    # One index for both inputs: a size record until an activity record joins
-    # it, then None, as for an activity-only key; meeting None is a duplicate.
+    # One index for both inputs: a size record until an activity key joins it,
+    # then None, as for an activity-only key; meeting None is a duplicate.
     by_key: dict[FactKey, SizeRecord | None] = {}
     for record in size:
         key = record.key
@@ -133,8 +108,7 @@ def join_facts(
     # The joined months of each project, in activity order; a sorted file gives
     # each project's months in order already, and then its sort is one pass.
     by_project: dict[str, list[SizeRecord]] = {}
-    for record in activity:
-        key = record.key
+    for key in activity:
         month = by_key.get(key, False)  # False: a key not seen yet
         by_key[key] = None
         if month is None:

@@ -16,7 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .facts import MIN_YEAR, ActivityRecord, Enlistment, FactKey, ProjectMeta, SizeRecord
+from .facts import MIN_YEAR, Enlistment, FactKey, ProjectMeta, SizeRecord
 
 FACTS_HEADER = [
     "project",
@@ -127,21 +127,23 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
         if not isinstance(kind, str) or not isinstance(url, str):
             return None, "enlistment lacks a type or url string"
         enlistments.append(new(Enlistment, (sys.intern(kind), url)))
-    tags = doc.get("tags")
+    tags = doc.get("tags")  # checked, but no rule or metric reads them
     if tags is not None and (
         not isinstance(tags, list) or not all(isinstance(t, str) for t in tags)
     ):
         return None, "tags must be a list of strings"
-    return new(ProjectMeta, (sys.intern(name), tuple(enlistments), tuple(tags or ()))), None
+    return new(ProjectMeta, (sys.intern(name), tuple(enlistments))), None
 
 
 # A plain line: a name, then nine counts of at most 15 digits (below
 # 2**53), signed only in the three sizes; either half may be all empty. It
 # holds no '"' or NUL, and '\r' only in its line ending, so csv.reader would
-# split it on its commas alone.
+# split it on its commas alone. It captures the name, year, month, loc and
+# loc_added: the other counts are checked by matching and never kept.
 _PLAIN_ROW = re.compile(
-    '([^,"\r\n\0]+)' + ",([0-9]{1,15})" * 2 + "(?:" + ",(-?[0-9]{1,15})" * 3 + "|,,,)"
-    + "(?:" + ",([0-9]{1,15})" * 4 + "|,,,,)\r?\n?"
+    '([^,"\r\n\0]+)' + ",([0-9]{1,15})" * 2
+    + "(?:,(-?[0-9]{1,15})" + ",-?[0-9]{1,15}" * 2 + "|,,,)"
+    + "(?:,([0-9]{1,15})" + ",[0-9]{1,15}" * 3 + "|,,,,)\r?\n?"
 )
 
 # What int() parses: optional sign, Unicode digits grouped by single underscores.
@@ -157,27 +159,30 @@ class _Names(dict):
 class _Counts(dict):
     def __missing__(self, cell: str) -> int:
         value = int(cell)
-        if len(cell) < 5:  # most counts repeat, but CPython shares no int above 256
+        if len(cell) < 5:  # most years repeat, but CPython shares no int above 256
             self[cell] = value
         return value
 
 
-def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestReport]:
-    """Read the canonical facts CSV into raw size and activity records.
+def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
+    """Read the canonical facts CSV into size records and activity keys.
 
-    Only field syntax is checked here; negative code sizes pass through
-    so the validator can reject and account for them, but a size beyond
-    2**53 in magnitude, which a float may not hold exactly, is malformed.
-    Rows and line numbers are those of csv.reader under the default
-    dialect. The records of one project share one interned name string,
-    the one ``read_metadata`` gives. On the plain rows, equal cells of at
-    most four characters share one ``int``, except ``loc``; a longer cell,
-    such as the year ``02012``, is parsed per row.
+    A row's size half becomes a ``SizeRecord(key, loc)`` and its activity
+    half its bare ``FactKey``: the metrics read only ``loc``, and the join
+    only which months have activity. Every cell is checked, kept or not:
+    negative code sizes pass through so the validator can reject and
+    account for them, but a size cell beyond 2**53 in magnitude, which a
+    float may not hold exactly, and a negative activity count are
+    malformed. Rows and line numbers are those of csv.reader under the
+    default dialect. The records of one project share one interned name
+    string, the one ``read_metadata`` gives. On the plain rows, equal year
+    and month cells of at most four characters share one ``int``; a
+    longer cell, such as the year ``02012``, is parsed per row.
     """
     size: list[SizeRecord] = []
-    activity: list[ActivityRecord] = []
+    activity: list[FactKey] = []
     names = _Names()  # projects of the accepted rows, each name interned
-    ints = _Counts()  # cells of plain rows, each of at most 4 characters parsed once
+    ints = _Counts()  # year and month cells of plain rows, each short one parsed once
     add_size, add_activity = size.append, activity.append
     malformed: list[RecordDiagnostic] = []
     records_read = 0
@@ -195,19 +200,17 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
             for lineno, line in enumerate(handle, reader.line_num + 1):
                 match = _PLAIN_ROW.fullmatch(line) if len(line) <= limit else None
                 if match is not None:
-                    # The pattern and this test hold every FactKey and ActivityRecord check,
-                    # and csv.reader gives a row with neither half its diagnostic.
-                    (project, year, month, loc, comments, blanks,
-                     added, removed, commits, contributors) = match.groups()
+                    # The pattern and this test hold every check of a cell, and
+                    # csv.reader gives a row with neither half its diagnostic.
+                    project, year, month, loc, added = match.groups()
                     year, month = ints[year], ints[month]
                     if year >= MIN_YEAR and 1 <= month <= 12 and (loc or added):
                         records_read += 1
                         key = new(FactKey, (names[project], year, month))
                         if loc:  # parsed per row: about half of all sizes are too long to share
-                            add_size(new(SizeRecord, (key, int(loc), ints[comments], ints[blanks])))
+                            add_size(new(SizeRecord, (key, int(loc))))
                         if added:
-                            add_activity(new(ActivityRecord, (
-                                key, ints[added], ints[removed], ints[commits], ints[contributors])))
+                            add_activity(key)
                         continue
                 # csv.reader reads any other line alone, but the first one with a
                 # '"' or NUL and the rest of the file together (which ends this
@@ -252,28 +255,28 @@ def _parse_facts_row(row, names, size, activity) -> str | None:
     if not has_size and not has_activity:
         return "neither size nor activity fields present"
 
-    if has_size:
+    if has_size:  # all three cells are checked; only loc is kept
         try:
-            size_record = SizeRecord(key, int(loc), int(comments), int(blanks))
+            sizes = int(loc), int(comments), int(blanks)
         except ValueError:
             # int() refuses a well-formed cell only past its digit limit (4,300
             # by default), which lies far beyond 2**53.
             if all(map(_INTEGER.fullmatch, (loc, comments, blanks))):
                 return "size fields must not exceed 2**53 in magnitude"
             return "size fields must be integers"
-        if max(map(abs, size_record[1:])) > 2**53:
+        if max(map(abs, sizes)) > 2**53:
             return "size fields must not exceed 2**53 in magnitude"
-    if has_activity:
+    if has_activity:  # the counts are checked; only the key is kept
         try:
             counts = int(added), int(removed), int(commits), int(contributors)
         except ValueError:
             return "activity fields must be integers"
-        try:
-            activity.append(ActivityRecord(key, *counts))
-        except ValueError as exc:
-            return str(exc)
+        for name, count in zip(FACTS_HEADER[6:], counts):
+            if count < 0:
+                return f"{name} must be >= 0, got {count}"
+        activity.append(key)
     if has_size:  # kept only now that the activity half has parsed too
-        size.append(size_record)
+        size.append(SizeRecord(key, sizes[0]))
     names.setdefault(project, key.project)
     return None
 

@@ -21,7 +21,7 @@ GROWTHLESS_POLICIES = (GROWTHLESS_UNDEFINED, GROWTHLESS_ZERO)
 
 # Ends aggregate_all's walk: its project, None, is no fact's, so the last year
 # closes, and its year, 0, is not the walk's start, so an empty walk ends too.
-_END = ((None, 0, 0), 0, 0, 0)
+_END = ((None, 0, 0), 0)
 
 AGGREGATES_HEADER = ["project", "year", "cs", "cga", "cgi", "age", "months_present"]
 
@@ -55,7 +55,7 @@ def aggregate_all(
     # year changes, and the end marker closes the last one.
     project = year = prev_index = None  # prev_index: year*12+month
     present = 0
-    for (name, next_year, month), loc, _, _ in chain(sorted(facts, key=itemgetter(0)), [_END]):
+    for (name, next_year, month), loc in chain(sorted(facts, key=itemgetter(0)), [_END]):
         if next_year != year or name != project:
             if present:
                 aggregates.append(new(YearlyAggregate, (

@@ -101,7 +101,7 @@ def validate_dataset(
     """Apply the exclusion rules in order and account for every record.
 
     ``monthly_facts`` are the size records of the joined months, as
-    ``join_facts`` returns them; only their key and loc are read.
+    ``join_facts`` returns them.
 
     Rule 1 drops projects without usable joined months: missing size
     facts, missing activity facts, a join that came up empty, or facts

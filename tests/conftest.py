@@ -125,10 +125,8 @@ def load_corpus():
     return metas, monthly
 
 
-def make_month(
-    project: str, year: int, month: int, loc: int, comments: int = 0, blanks: int = 0
-) -> SizeRecord:
-    return SizeRecord(FactKey(project, year, month), loc, comments, blanks)
+def make_month(project: str, year: int, month: int, loc: int) -> SizeRecord:
+    return SizeRecord(FactKey(project, year, month), loc)
 
 
 def month_run(project: str, year: int, locs, start_month: int = 1):

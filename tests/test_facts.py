@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from baserates.facts import (
-    ActivityRecord,
     Enlistment,
     FactKey,
     ProjectMeta,
@@ -18,11 +17,11 @@ from baserates.validate import validate_dataset
 
 
 def size_record(project, year, month, loc=100):
-    return SizeRecord(FactKey(project, year, month), loc, 10, 5)
+    return SizeRecord(FactKey(project, year, month), loc)
 
 
 def activity_record(project, year, month):
-    return ActivityRecord(FactKey(project, year, month), 50, 10, 3, 2)
+    return FactKey(project, year, month)  # an activity month is its key alone
 
 
 class TestFactKey:
@@ -110,15 +109,14 @@ class TestJoinFacts:
         ]
         joined, _ = join_facts(size, activity)
         oracle = [
-            (s, a) for s in size for a in activity if s.key == a.key
+            (s, a) for s in size for a in activity if s.key == a
         ]  # brute-force nested loop
         assert len(joined) == len(oracle) == 24
         assert {f.key for f in joined} == {s.key for s, _ in oracle}
 
     def test_field_mapping(self):
-        s = SizeRecord(FactKey("p", 2012, 6), 28000, 5000, 3000)
-        a = ActivityRecord(FactKey("p", 2012, 6), 100, 50, 12, 3)
-        joined, _ = join_facts([s], [a])
+        s = SizeRecord(FactKey("p", 2012, 6), 28000)
+        joined, _ = join_facts([s], [FactKey("p", 2012, 6)])
         assert joined == [s] and joined[0] is s
 
     def test_output_sorted_by_key(self):
@@ -165,14 +163,7 @@ class TestJoinFacts:
         activity = [activity_record(p, y, m) for p, y, m in activity_keys]
         joined, diagnostics = join_facts(size, activity)
         assert diagnostics == []
-        assert {f.key for f in joined} == {s.key for s in size} & {
-            a.key for a in activity
-        }
-
-
-def test_activity_record_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        ActivityRecord(FactKey("p", 2010, 1), -1, 0, 0, 0)
+        assert {f.key for f in joined} == {s.key for s in size} & set(activity)
 
 
 def test_project_meta_requires_name():

@@ -6,12 +6,10 @@ import csv
 import random
 import re
 import sys
-from itertools import chain
 
 import pytest
 
 from baserates.facts import (
-    ActivityRecord,
     Enlistment,
     FactKey,
     ProjectMeta,
@@ -123,11 +121,11 @@ class TestReadMetadata:
         path = tmp_path / "meta.jsonl"
         write_lines(
             path,
-            '{"name": "p", "tags": ["first"]}',
-            '{"name": "p", "tags": ["second"]}',
+            '{"name": "p", "enlistments": [{"type": "first", "url": "u"}]}',
+            '{"name": "p", "enlistments": [{"type": "second", "url": "u"}]}',
         )
         metas, report = read_metadata(path)
-        assert len(metas) == 1 and metas[0].tags == ("first",)
+        assert len(metas) == 1 and metas[0].enlistments[0].kind == "first"
         assert report.malformed_records == 1
 
     @pytest.mark.parametrize(
@@ -158,6 +156,18 @@ class TestReadMetadata:
         assert [m.name for m in metas] == ["ok"] and report.malformed_records == 1
         assert (report.malformed[0].file, report.malformed[0].line) == (str(path), 2)
 
+    @pytest.mark.parametrize("tags", ["{}", '["a", 1]'], ids=["object", "non-string-element"])
+    def test_bad_tags_reason_is_exact(self, tmp_path, tags):
+        # No record keeps its tags, but tags that are not a list of strings
+        # still make the record malformed.
+        path = tmp_path / "meta.jsonl"
+        write_lines(path, '{"name": "ok", "tags": ["a"]}', f'{{"name": "p", "tags": {tags}}}')
+        metas, report = read_metadata(path)
+        assert metas == [ProjectMeta("ok")]
+        assert report.malformed == [
+            RecordDiagnostic(str(path), 2, "tags must be a list of strings")
+        ]
+
     def test_null_lists_read_as_empty(self, tmp_path):
         path = tmp_path / "meta.jsonl"
         write_lines(path, '{"name": "p", "enlistments": null, "tags": null}')
@@ -180,8 +190,8 @@ class TestReadFacts:
         path = tmp_path / "facts.csv"
         write_lines(path, HEADER, "proj,2012,6,28000,5000,3000,100,50,12,3")
         size, activity, report = read_facts(path)
-        assert size == [SizeRecord(FactKey("proj", 2012, 6), 28000, 5000, 3000)]
-        assert activity == [ActivityRecord(FactKey("proj", 2012, 6), 100, 50, 12, 3)]
+        assert size == [SizeRecord(FactKey("proj", 2012, 6), 28000)]
+        assert activity == [FactKey("proj", 2012, 6)]
         assert report.records_read == 1 and report.malformed_records == 0
         assert report.projects_read == 1
 
@@ -216,7 +226,7 @@ class TestReadFacts:
         write_lines(path, HEADER, "p,2012,1,100,10,5,,,,", "p,2012,2,,,,20,5,2,1")
         size, activity, report = read_facts(path)
         assert len(size) == 1 and size[0].key.month == 1
-        assert len(activity) == 1 and activity[0].key.month == 2
+        assert len(activity) == 1 and activity[0].month == 2
         assert report.malformed_records == 0
 
     def test_partial_size_half_is_malformed(self, tmp_path):
@@ -246,14 +256,21 @@ class TestReadFacts:
             ("p,2012,0,1,1,1,1,1,1,1", "month 0 outside 1..12"),
             ("p,2012,13,1,1,,,,,", "month 13 outside 1..12"),
             ("p,x,1,1,1,1,1,1,1,1", "year and month must be integers"),
+            ("p,2012,1,1,1,1,-1,0,0,0", "loc_added must be >= 0, got -1"),
             ("p,2012,1,1,1,1,1,-2,0,0", "loc_removed must be >= 0, got -2"),
+            ("p,2012,1,1,1,1,1,0,-3,0", "commits must be >= 0, got -3"),
+            ("p,2012,1,1,1,1,1,0,0,-4", "contributors must be >= 0, got -4"),
+            ("p,2012,1,1,1,1,-1,0,-3,-4", "loc_added must be >= 0, got -1"),
         ],
     )
     def test_malformed_reason_is_exact(self, tmp_path, row, reason):
+        # As written, and with the name quoted, which hands the row to csv.reader.
         path = tmp_path / "facts.csv"
-        write_lines(path, HEADER, row)
-        _, _, report = read_facts(path)
-        assert [(m.line, m.reason) for m in report.malformed] == [(2, reason)]
+        for line in (row, '"' + row.replace(",", '",', 1)):
+            write_lines(path, HEADER, line)
+            size, activity, report = read_facts(path)
+            assert [(m.line, m.reason) for m in report.malformed] == [(2, reason)]
+            assert size == activity == []
 
     def test_records_read_identity(self, tmp_path):
         path = tmp_path / "facts.csv"
@@ -279,7 +296,7 @@ class TestReadFacts:
             "proj,2012,3,,,,1,1,1,1",
         )
         size, activity, _ = read_facts(path)
-        names = {id(record.key.project) for record in size + activity}
+        names = {id(key.project) for key in [record.key for record in size] + activity}
         assert len(names) == 1
 
     def test_wrong_header_raises(self, tmp_path):
@@ -305,11 +322,21 @@ class TestReadFacts:
         ],
     )
     def test_size_beyond_2_53_is_malformed(self, tmp_path, loc, reason):
+        # Each size cell is held to the bound, though only loc is kept; the
+        # row as written and with its name quoted, which hands it to csv.reader.
         path = tmp_path / "facts.csv"
-        write_lines(path, HEADER, f"p,2012,1,{loc},1,1,1,1,1,1", "p,2012,2,1,1,1,1,1,1,1")
-        size, _, report = read_facts(path)
-        assert [(m.line, m.reason) for m in report.malformed] == ([(2, reason)] if reason else [])
-        assert [record.loc for record in size] == ([loc] if reason is None else []) + [1]
+        for column in range(3, 6):
+            cells = ["p", "2012", "1", "1", "1", "1", "1", "1", "1", "1"]
+            cells[column] = str(loc)
+            row = ",".join(cells)
+            for line in (row, '"p"' + row[1:]):
+                write_lines(path, HEADER, line, "p,2012,2,1,1,1,1,1,1,1")
+                size, _, report = read_facts(path)
+                assert [(m.line, m.reason) for m in report.malformed] == (
+                    [(2, reason)] if reason else []
+                )
+                kept = [] if reason else [int(cells[3])]
+                assert [record.loc for record in size] == kept + [1]
 
 
     @pytest.mark.parametrize("sign", ["", "+", "-"])
@@ -389,7 +416,7 @@ class TestPlainLines:
         lines = ["p,2012,1,100,10,5,,,,", "p,2012,2,,,,20,5,2,1", "p,2012,3,,,,,,,"]
         write_lines(tmp_path / "facts.csv", HEADER, *lines, newline=newline)
         size, activity, report = read_facts(tmp_path / "facts.csv")
-        assert [r.key.month for r in size] == [1] and [r.key.month for r in activity] == [2]
+        assert [r.key.month for r in size] == [1] and [key.month for key in activity] == [2]
         assert [(m.line, m.reason) for m in report.malformed] == [
             (4, "neither size nor activity fields present")
         ]
@@ -401,7 +428,10 @@ class TestPlainLines:
         cells = ["p", "2012", "6", "9", "8", "7", "6", "5", "4", "3"]
         cells[column] = "1" * digits  # below 2**53 either way
         result = read_both_ways(tmp_path / "facts.csv", ",".join(cells))
-        assert f"={'1' * digits}" in result and "malformed=[]" in result
+        # Both halves are kept; of the counts, only loc is.
+        key = "FactKey(project='p', year=2012, month=6)"
+        assert f"[SizeRecord(key={key}, loc={cells[3]})], [{key}]" in result
+        assert "malformed=[]" in result
 
     def test_records_hold_every_check_of_their_constructors(self, tmp_path):
         big = 10**15 - 1
@@ -417,8 +447,8 @@ class TestPlainLines:
         assert len(size) == len(activity) == 3
         for record in size:
             assert SizeRecord(FactKey(*record.key), *record[1:]) == record
-        for record in activity:
-            assert ActivityRecord(FactKey(*record.key), *record[1:]) == record
+        for key in activity:
+            assert FactKey(*key) == key
         assert [(m.line, m.reason) for m in report.malformed] == [
             (5, "year 1949 precedes 1950"),
             (6, "month 0 outside 1..12"),
@@ -481,17 +511,25 @@ def test_non_utf8_error_names_the_line(tmp_path, reader, first, line, newline):
 
 
 class TestRoundTrip:
-    def write(self, path, size, activity):
-        """Write records as facts rows, leaving an absent half's cells empty."""
-        size_by_key = {record.key: record[1:] for record in size}
-        activity_by_key = {record.key: record[1:] for record in activity}
+    def write(self, path, size, activity, rng=None):
+        """Write size records and activity keys as facts rows, an absent half's cells empty.
+
+        The cells that no record keeps, comments, blanks and the activity
+        counts, get valid values drawn from ``rng``.
+        """
+        rng = rng or random.Random(0)
+        locs, active = {record.key: record.loc for record in size}, set(activity)
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(FACTS_HEADER)
-            for key in sorted(size_by_key.keys() | activity_by_key.keys()):
-                writer.writerow(
-                    [*key, *size_by_key.get(key, ("",) * 3), *activity_by_key.get(key, ("",) * 4)]
-                )
+            for key in sorted(locs.keys() | active):
+                size_cells = ("",) * 3
+                if key in locs:
+                    size_cells = (locs[key], rng.randint(0, 500), rng.randint(0, 500))
+                activity_cells = ("",) * 4
+                if key in active:
+                    activity_cells = [rng.randint(0, bound) for bound in (1000, 1000, 50, 20)]
+                writer.writerow([*key, *size_cells, *activity_cells])
 
     def random_records(self, rng):
         size, activity = [], []
@@ -501,21 +539,9 @@ class TestRoundTrip:
                     which = rng.choice(("size", "activity", "both", "none"))
                     key = FactKey(project, year, month)
                     if which in ("size", "both"):
-                        size.append(
-                            SizeRecord(
-                                key, rng.randint(-10, 10_000), rng.randint(0, 500), rng.randint(0, 500)
-                            )
-                        )
+                        size.append(SizeRecord(key, rng.randint(-10, 10_000)))
                     if which in ("activity", "both"):
-                        activity.append(
-                            ActivityRecord(
-                                key,
-                                rng.randint(0, 1000),
-                                rng.randint(0, 1000),
-                                rng.randint(0, 50),
-                                rng.randint(0, 20),
-                            )
-                        )
+                        activity.append(key)
         return size, activity
 
     def test_write_then_read_is_identity(self, tmp_path):
@@ -523,7 +549,7 @@ class TestRoundTrip:
         for round_number in range(5):
             size, activity = self.random_records(rng)
             path = tmp_path / f"roundtrip_{round_number}.csv"
-            self.write(path, size, activity)
+            self.write(path, size, activity, rng)
             size_back, activity_back, report = read_facts(path)
             assert report.malformed_records == 0
             assert set(size_back) == set(size)
@@ -542,7 +568,7 @@ class TestRoundTrip:
     def test_project_name_with_comma_survives(self, tmp_path):
         key = FactKey("odd, name", 2012, 1)
         path = tmp_path / "facts.csv"
-        self.write(path, [SizeRecord(key, 10, 1, 1)], [])
+        self.write(path, [SizeRecord(key, 10)], [])
         size, _, report = read_facts(path)
         assert size[0].key == key and report.malformed_records == 0
 
@@ -582,18 +608,18 @@ class TestSharedValues:
             size, activity, _ = read_facts(inputs[1])
             metas, _ = read_metadata(inputs[0])
         by_name = {meta.name: meta for meta in metas}
-        for record in size + activity:
-            assert by_name[record.key.project].name is record.key.project
+        for key in [record.key for record in size] + activity:
+            assert by_name[key.project].name is key.project
 
     def test_plain_rows_of_one_year_share_the_year(self, inputs):
         size, _, _ = read_facts(inputs[1])
         assert len({id(record.key.year) for record in size}) == 1
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
-    def test_equal_short_counts_above_256_are_one_int(self, tmp_path, newline):
-        # int("1234") is a new object each time; the plain-line path keeps the
-        # first, also after a malformed line that csv.reader reads alone, and
-        # for every column but loc.
+    def test_equal_short_year_cells_are_one_int(self, tmp_path, newline):
+        # int("2012") is a new object each time; the plain-line path keeps the
+        # first, also after a malformed line that csv.reader reads alone, for
+        # the keys of both halves.
         write_lines(
             tmp_path / "facts.csv",
             HEADER,
@@ -601,13 +627,11 @@ class TestSharedValues:
             "p,2012,1,5000,1234,1234,1234,1234,1234,1234",
             "p,2012,2,5000,1234,1234,,,,",
             "p,2012,3,,,,1234,1234,1234,1234",
-            "p,2012,4,5000,-999,-999,1,1,1,1",
             newline=newline,
         )
         size, activity, _ = read_facts(tmp_path / "facts.csv")
-        counts = [r[2:] for r in size[:2]] + [r[1:] for r in activity[:2]]
-        assert len({id(value) for value in chain.from_iterable(counts)}) == 1
-        assert size[2].comments is size[2].blanks == -999
+        keys = [record.key for record in size] + activity
+        assert len(keys) == 4 and len({id(key.year) for key in keys}) == 1
 
     def test_value_types_have_no_instance_dict(self, inputs):
         metas, _ = read_metadata(inputs[0])

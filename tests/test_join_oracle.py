@@ -3,10 +3,11 @@
 ``join_facts`` below is the join the package used before it grouped the
 joined months by project and sorted each project's months alone. It
 sorts every joined key at once and checks each key against the rejected
-projects, and serves here as the oracle: on any size and activity
-records, the package must return the same records (the very objects it
-was given), in the same order, and the same diagnostics, in the same
-order.
+projects, and serves here as the oracle. It takes activity records, as
+``test_ingest_oracle`` builds them, where the package takes their keys:
+on any size records and activity months, the package must return the
+same records (the very objects it was given), in the same order, and the
+same diagnostics, in the same order.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baserates import facts
-from baserates.facts import ActivityRecord, FactKey, SizeRecord
+from baserates.facts import FactKey, SizeRecord
 from conftest import make_month
+from test_ingest_oracle import ActivityRecord
 
 
 def join_facts(
@@ -63,10 +65,16 @@ def join_facts(
     return joined, diagnostics
 
 
-def outcome(join, size, activity):
-    """What ``join`` returns, its ``repr``, and the identity of each joined record."""
-    joined, diagnostics = join(size, activity)
-    return (joined, diagnostics), repr((joined, diagnostics)), [id(r) for r in joined]
+def outcomes(size, activity):
+    """The package's and the oracle's result: the value, its ``repr``, each record's identity.
+
+    The package gets the key of each activity record, the oracle the record.
+    """
+    results = []
+    for join, months in ((facts.join_facts, [r.key for r in activity]), (join_facts, activity)):
+        joined, diagnostics = join(size, months)
+        results.append(((joined, diagnostics), repr((joined, diagnostics)), [id(r) for r in joined]))
+    return results
 
 
 def arranged(draw, items, key):
@@ -120,12 +128,13 @@ def halves(draw):
 @settings(max_examples=300, deadline=None)
 @given(inputs=halves())
 def test_join_facts_matches_oracle(inputs):
-    size, activity = inputs
-    assert outcome(facts.join_facts, size, activity) == outcome(join_facts, size, activity)
+    subject, oracle = outcomes(*inputs)
+    assert subject == oracle
 
 
 def test_empty_and_one_sided_inputs_match_oracle():
     month = make_month("a", 2011, 1, 5)
     both = ([month], [ActivityRecord(month.key, 1, 2, 3, 4)])
     for size, activity in (([], []), ([month], []), ([], both[1]), both):
-        assert outcome(facts.join_facts, size, activity) == outcome(join_facts, size, activity)
+        subject, oracle = outcomes(size, activity)
+        assert subject == oracle

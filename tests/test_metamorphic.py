@@ -10,6 +10,13 @@ rounded once. Validation, the outlier counts and stderr stay the same.
 With every tripled ``|loc|`` at most 2**50, quarter-step interpolation
 between the values is exact, so the CS and CGa quartiles, whiskers and
 outlier values triple exactly too.
+
+Split: writing a row that holds both halves as a size-only row and an
+activity-only row, in either order, changes nothing a month is joined
+from. The exit code, ``report.json`` and ``yearly_aggregates.csv`` stay
+byte for byte the same, and stderr too once each ``facts.csv:N:`` names
+the row's new line. Only rows whose every cell is valid are split: a
+malformed row's valid half, written alone, would be accepted.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import csv
 import importlib
 import json
+import random
+import re
 import shutil
 from pathlib import Path
 
@@ -52,6 +61,41 @@ def scaled_facts(text: str) -> tuple[str, int]:
         lines[index] = ",".join(cells)
         scaled += 1
     return "\n".join(lines), scaled
+
+
+def parses_whole(cells: list[str]) -> bool:
+    """Whether a row holds both halves and every cell is valid, read strictly."""
+    if len(cells) != len(FACTS_HEADER) or cells[0] == "":
+        return False
+    if not all(re.fullmatch("-?[0-9]+", cell) for cell in cells[1:]):
+        return False
+    year, month, *sizes = map(int, cells[1:6])
+    counts = map(int, cells[6:])
+    return year >= 1950 and 1 <= month <= 12 and max(map(abs, sizes)) <= 2**53 and min(counts) >= 0
+
+
+def split_facts(text: str, rng: random.Random) -> tuple[str, dict[int, int], int]:
+    """The facts text with each row that ``parses_whole`` written as its two halves.
+
+    A size-only and an activity-only row take the row's place, in an
+    order drawn from ``rng``, so each half keeps its order among the
+    other rows of its kind. Returns the text, the new line number of
+    each old line, and how many rows were split.
+    """
+    assert '"' not in text and "\r" not in text  # a row is a line, split on its commas
+    lines = text.split("\n")
+    out, moved, split = [lines[0]], {1: 1}, 0
+    for number, line in enumerate(lines[1:], 2):
+        moved[number] = len(out) + 1
+        cells = line.split(",")
+        if not parses_whole(cells):
+            out.append(line)
+            continue
+        size_half = ",".join(cells[:6] + [""] * 4)
+        activity_half = ",".join(cells[:3] + [""] * 3 + cells[6:])
+        out += [size_half, activity_half] if rng.random() < 0.5 else [activity_half, size_half]
+        split += 1
+    return "\n".join(out), moved, split
 
 
 def analyze(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
@@ -130,3 +174,30 @@ def test_every_loc_times_three(source, seed, tmp_path, monkeypatch, capsys):
     assert rows3 == [
         {**row, "cs": times_scale(row["cs"]), "cga": times_scale(row["cga"])} for row in rows
     ]
+
+
+@pytest.mark.parametrize(
+    "source, seed", [("corpus", None), ("LONG", 7), ("LONG", 8), ("WIDE", 7), ("WIDE", 8)]
+)
+def test_each_full_row_split_into_its_halves(source, seed, tmp_path, monkeypatch, capsys):
+    base, split = tmp_path / "base", tmp_path / "split"
+    base.mkdir()
+    split.mkdir()
+    cutoff_year, policy = inputs(source, seed, base, monkeypatch)
+    shutil.copy(base / "metadata.jsonl", split / "metadata.jsonl")
+    facts = (base / "facts.csv").read_bytes().decode("utf-8")
+    split_text, moved, count = split_facts(facts, random.Random(f"{source}-{seed}"))
+    assert count > 0
+    (split / "facts.csv").write_bytes(split_text.encode("utf-8"))
+
+    outcomes = []
+    for workdir in (base, split):
+        code, stderr, _, _ = analyze(workdir, cutoff_year, policy, monkeypatch, capsys)
+        files = [(workdir / "out" / name).read_bytes() for name in ("report.json", "yearly_aggregates.csv")]
+        outcomes.append((code, stderr, files))
+    (code, stderr, files), (code2, stderr2, files2) = outcomes
+
+    renumbered = re.sub(
+        r"facts\.csv:(\d+):", lambda m: f"facts.csv:{moved[int(m.group(1))]}:", stderr
+    )
+    assert (code2, stderr2, files2) == (code, renumbered, files)

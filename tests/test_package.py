@@ -13,6 +13,9 @@ from pathlib import Path
 import pytest
 
 import baserates
+from baserates.facts import join_facts
+from baserates.ingest import read_facts, read_metadata
+from baserates.validate import validate_dataset
 from conftest import CORPUS, SLOC_DIR, child_env
 
 REPO = Path(__file__).resolve().parent.parent
@@ -169,6 +172,22 @@ def test_trace_pass_reports_every_analyze_stage(tmp_path, bench_run):
         tmp_path,
     )
     assert set(bench_run.ANALYZE_LAYERS) <= set(stages)
+    # Each count means what its name says, whatever shape the records take.
+    size, activity, facts_report = read_facts(CORPUS / "facts.csv")
+    joined, diagnostics = join_facts(size, activity)
+    metas, _ = read_metadata(CORPUS / "metadata.jsonl")
+    _, validation = validate_dataset(metas, joined, 2012)
+    aggregates = (tmp_path / "out" / "yearly_aggregates.csv").read_text(encoding="utf-8")
+    expected = {
+        "ingest.read_facts.records": facts_report.records_read,
+        "ingest.read_facts.malformed": facts_report.malformed_records,
+        "facts.join.in": len(size) + len(activity),
+        "facts.join.out": len(joined),
+        "facts.join.duplicates": len(diagnostics),
+        "validate.months_out": validation.after_cutoff.months,
+        "metrics.aggregate.project_years": len(aggregates.splitlines()) - 1,  # less the header
+    }
+    assert {name: stages[name] for name in expected} == expected
 
 
 def test_trace_pass_reports_every_count_stage(tmp_path, bench_run):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from baserates import sloc
-from baserates.facts import Enlistment, ProjectMeta, YearlyAggregate
+from baserates.facts import Enlistment, FactKey, ProjectMeta, SizeRecord, YearlyAggregate
 from baserates.ingest import IngestReport, RecordDiagnostic
 from baserates.report import MetricSection
 from baserates.sloc import FileCount, LanguageSyntax, LineCounts, TreeCount
@@ -27,10 +27,14 @@ VALIDATION = ValidationReport(3, 1, 1, 1, 14, 2, 12, 1, AFTER)
 IMMUTABLE = [
     (ENLISTMENT, "kind url", "Enlistment(kind='svn', url='http://x/trunk')"),
     (
-        ProjectMeta("p", (ENLISTMENT,), ("t",)),
-        "name enlistments tags",
-        "ProjectMeta(name='p', enlistments=(Enlistment(kind='svn', url='http://x/trunk'),),"
-        " tags=('t',))",
+        ProjectMeta("p", (ENLISTMENT,)),
+        "name enlistments",
+        "ProjectMeta(name='p', enlistments=(Enlistment(kind='svn', url='http://x/trunk'),))",
+    ),
+    (
+        SizeRecord(FactKey("p", 2012, 6), -5),
+        "key loc",
+        "SizeRecord(key=FactKey(project='p', year=2012, month=6), loc=-5)",
     ),
     (
         YearlyAggregate("p", 2012, 10, 2, 1.5, 0, 12),
