@@ -174,10 +174,12 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
     account for them, but a size cell beyond 2**53 in magnitude, which a
     float may not hold exactly, and a negative activity count are
     malformed. Rows and line numbers are those of csv.reader under the
-    default dialect. The records of one project share one interned name
-    string, the one ``read_metadata`` gives. On the plain rows, equal year
-    and month cells of at most four characters share one ``int``; a
-    longer cell, such as the year ``02012``, is parsed per row.
+    default dialect: a line that the plain-row pattern does not accept is
+    read as one csv record, with any lines a quoted line break joins to
+    it. The records of one project share one interned name string, the
+    one ``read_metadata`` gives. On the plain rows, equal year and month
+    cells of at most four characters share one ``int``; a longer cell,
+    such as the year ``02012``, is parsed per row.
     """
     size: list[SizeRecord] = []
     activity: list[FactKey] = []
@@ -197,7 +199,9 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
                 raise IngestError(f"{path}: empty facts file (missing header)")
             if header != FACTS_HEADER:
                 raise IngestError(f"{path}: unexpected header {','.join(header)!r}")
-            for lineno, line in enumerate(handle, reader.line_num + 1):
+            lineno = reader.line_num  # the header's last line
+            for line in handle:
+                lineno += 1
                 match = _PLAIN_ROW.fullmatch(line) if len(line) <= limit else None
                 if match is not None:
                     # The pattern and this test hold every check of a cell, and
@@ -212,20 +216,17 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
                         if added:
                             add_activity(key)
                         continue
-                # csv.reader reads any other line alone, but the first one with a
-                # '"' or NUL and the rest of the file together (which ends this
-                # loop), so a quoted line break keeps its line numbers.
-                special = '"' in line or "\0" in line
-                reader = csv.reader(chain([line], handle) if special else [line])
-                for row in reader:
-                    # str.strip drops the same Unicode whitespace cell by cell or joined.
-                    if not "".join(row).strip():
-                        continue
-                    records_read += 1
-                    reason = _parse_facts_row(row, names, size, activity)
-                    if reason is not None:
-                        line_num = lineno - 1 + reader.line_num
-                        malformed.append(RecordDiagnostic(str(path), line_num, reason))
+                # Any other line is one csv.reader row, with the lines its quotes span.
+                reader = csv.reader(chain([line], handle))
+                row = next(reader)
+                lineno += reader.line_num - 1  # the record's last line
+                # str.strip drops the same Unicode whitespace cell by cell or joined.
+                if not "".join(row).strip():
+                    continue
+                records_read += 1
+                reason = _parse_facts_row(row, names, size, activity)
+                if reason is not None:
+                    malformed.append(RecordDiagnostic(str(path), lineno, reason))
         except csv.Error as exc:
             line_num = lineno - 1 + reader.line_num
             raise IngestError(f"{path}:{line_num}: unreadable CSV ({exc})") from None

@@ -23,8 +23,6 @@ GROWTHLESS_POLICIES = (GROWTHLESS_UNDEFINED, GROWTHLESS_ZERO)
 # closes, and its year, 0, is not the walk's start, so an empty walk ends too.
 _END = ((None, 0, 0), 0)
 
-AGGREGATES_HEADER = ["project", "year", "cs", "cga", "cgi", "age", "months_present"]
-
 
 def aggregate_all(
     facts: Iterable[SizeRecord], policy: str = GROWTHLESS_UNDEFINED
@@ -90,6 +88,6 @@ def write_aggregates_csv(aggregates: Iterable[YearlyAggregate], path) -> None:
     """Write yearly aggregates as CSV with empty cells for undefined values."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(AGGREGATES_HEADER)
+        writer.writerow(YearlyAggregate._fields)
         # csv writes None as an empty cell and a float by its repr.
         writer.writerows(aggregates)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -65,10 +66,10 @@ def test_read_facts_reads_benchmark_inputs_as_csv_reader_does(gen, tmp_path, sha
     gen.write_facts_inputs(tmp_path, 7, getattr(gen, shape))
     path = tmp_path / "facts.csv"
     plain = repr(read_facts(path))
-    # Quoting the first data row's name hands the rest of the file to csv.reader.
-    header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
-    name, cells = first.split(",", 1)
-    path.write_text(f'{header}\n"{name}",{cells}\n{rest}', encoding="utf-8")
+    # Quoting each data row's name hands every row to csv.reader.
+    header, rows = path.read_text(encoding="utf-8").split("\n", 1)
+    quoted = re.sub(r'(?m)^([^,"\n]*),', r'"\1",', rows)
+    path.write_text(f"{header}\n{quoted}", encoding="utf-8")
     assert repr(read_facts(path)) == plain
 
 

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from baserates import ingest
 from baserates.facts import (
     Enlistment,
     FactKey,
@@ -366,16 +367,25 @@ class TestReadFacts:
         assert [m.reason for m in report.malformed] == ([reason] if reason else [])
         assert len(activity) == (0 if reason else 1)
 
-def read_both_ways(path, *lines, newline="\n"):
-    """``read_facts`` on ``lines`` as given and with the first cell of the first one quoted.
 
-    The quoted cell hands every line to csv.reader, so the two results
-    differ if the plain-line path reads any line otherwise. Returns the
-    ``repr`` of the result, or the IngestError's text.
+def quote_first_cell(line):
+    """``line`` with its first cell quoted, if it holds a comma to end that cell."""
+    if "," not in line:
+        return line
+    first, rest = line.split(",", 1)
+    return '"' + first.replace('"', '""') + '",' + rest
+
+
+def read_both_ways(path, *lines, newline="\n"):
+    """``read_facts`` on ``lines`` as given and with each line's first cell quoted.
+
+    A quoted cell hands its line to csv.reader, so the two results differ
+    if the plain-line path reads any line otherwise. Returns the ``repr``
+    of the result, or the IngestError's text.
     """
     results = []
-    for first in (lines[0], '"' + lines[0].replace(",", '",', 1)):
-        write_lines(path, HEADER, first, *lines[1:], newline=newline)
+    for variant in (lines, [quote_first_cell(line) for line in lines]):
+        write_lines(path, HEADER, *variant, newline=newline)
         try:
             results.append(repr(read_facts(path)))
         except IngestError as exc:
@@ -486,6 +496,19 @@ class TestPlainLines:
         _, _, report = read_facts_of(tmp_path, *lines)
         assert report.malformed[-1].line == last
         read_both_ways(tmp_path / "facts.csv", *lines)
+
+    def test_rows_after_a_quoted_row_take_the_plain_line_path(self, tmp_path, monkeypatch):
+        parse, rows = ingest._parse_facts_row, []
+
+        def spy(row, *args):
+            rows.append(row)
+            return parse(row, *args)
+
+        monkeypatch.setattr(ingest, "_parse_facts_row", spy)
+        lines = [f"p,2012,{month},1,1,1,1,1,1,1" for month in range(1, 13)]
+        size, activity, report = read_facts_of(tmp_path, quote_first_cell(lines[0]), *lines[1:])
+        assert rows == [lines[0].split(",")]
+        assert len(size) == len(activity) == report.records_read == 12
 
 
 @pytest.mark.parametrize(

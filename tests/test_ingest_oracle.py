@@ -9,9 +9,9 @@ row, keep every cell, and serve here as the oracle: on any facts CSV the
 package must return the oracle's records cut to what it keeps (each size
 record's key and loc, each activity record's key), counts and
 diagnostics with the same ``repr``, or raise the same ``IngestError``.
-Each generated file is read twice, as written and with every cell of its
-first row quoted: the quote hands the rest of the file to csv.reader, so
-both the plain-line path and the csv.reader path are held to the oracle.
+Each generated file is read twice, as written and with every cell
+quoted: a quote hands its row to csv.reader, so both the plain-line path
+and the csv.reader path are held to the oracle on every row.
 """
 
 from __future__ import annotations
@@ -243,19 +243,16 @@ ROWS = st.lists(
 )
 
 
-def write_csv(path, rows, lineterminator, quote_first=False) -> None:
-    """Write the header and ``rows``; ``quote_first`` quotes every cell of the first row.
+def write_csv(path, rows, lineterminator, quote_all=False) -> None:
+    """Write the header and ``rows``; ``quote_all`` quotes every cell of every row.
 
-    A quoted cell hands the rest of the file to csv.reader, so that the
-    same rows are read without the plain-line path.
+    A quoted cell hands its row to csv.reader, so that the same rows are
+    read without the plain-line path.
     """
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator=lineterminator)
+        quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+        writer = csv.writer(handle, lineterminator=lineterminator, quoting=quoting)
         writer.writerow(FACTS_HEADER)
-        if quote_first and rows:
-            quoted = csv.writer(handle, lineterminator=lineterminator, quoting=csv.QUOTE_ALL)
-            quoted.writerow(rows[0] or [""])  # a row of one empty cell is blank too
-            rows = rows[1:]
         writer.writerows(rows)
 
 
@@ -264,8 +261,8 @@ def write_csv(path, rows, lineterminator, quote_first=False) -> None:
 def test_read_facts_matches_oracle(rows, lineterminator):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "facts.csv"
-        for quote_first in (False, True):
-            write_csv(path, rows, lineterminator, quote_first)
+        for quote_all in (False, True):
+            write_csv(path, rows, lineterminator, quote_all)
             assert outcome(ingest.read_facts, path) == outcome(kept, path)
 
 

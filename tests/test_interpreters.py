@@ -3,8 +3,9 @@
 Point BASERATES_PYTHONS at one or more interpreter paths, joined with
 `os.pathsep`. Each one runs, in a child process, the golden
 `analyze --svg` pipeline, whose outputs must match the goldens byte for
-byte, and `count` over the line-classification fixtures, whose output
-must match this interpreter's own. The children import only the
+byte, `count` over the line-classification fixtures, and `read_facts` on
+facts files whose lines take the csv.reader path; the last two must give
+this interpreter's own output. The children import only the
 stdlib-only package, so they need no pytest. Without the variable the
 tests skip.
 """
@@ -17,6 +18,7 @@ import sys
 
 import pytest
 
+from baserates.ingest import FACTS_HEADER
 from conftest import GOLDEN, GOLDEN_FILES, SLOC_DIR, child_env, run_pipeline
 
 PYTHONS = [path for path in os.environ.get("BASERATES_PYTHONS", "").split(os.pathsep) if path]
@@ -47,3 +49,34 @@ def count_fixtures(python):
 
 def test_count_matches_this_interpreter(python):
     assert count_fixtures(python) == count_fixtures(sys.executable)
+
+
+# Data lines that the plain-line pattern does not accept, each followed by
+# a malformed row whose diagnostic names its line. A NUL is left out: the
+# csv module of 3.10 rejects it, and later ones read it.
+CSV_READER_LINES = {
+    "quoted-first-row": '"p",2012,1,1,1,1,1,1,1,1\np,2012,2,1,1,1,1,1,1,1\n'
+    "p,2012,13,1,1,1,1,1,1,1\n",
+    "quoted-line-break": 'p,2012,1,1,1,1,1,1,1,1\np,2012,2,"1\n\n",1,1,1,1,1,1\n'
+    "p,2012,0,1,1,1,1,1,1,1\n",
+    "lone-CR": "p,2012,1,1,1,1,1,1,1,1\rp,2012,13,1,1,1,1,1,1,1\n"
+    "p,2012,0,1,1,1,1,1,1,1\n",
+}
+
+
+def read_facts_reprs(python, paths):
+    script = "import sys\nfrom baserates.ingest import read_facts\n"
+    script += "for path in sys.argv[1:]:\n    print(repr(read_facts(path)))\n"
+    result = subprocess.run(
+        [python, "-c", script, *paths], env=child_env(), capture_output=True, timeout=120
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_csv_reader_lines_match_this_interpreter(python, tmp_path):
+    paths = []
+    for name, lines in CSV_READER_LINES.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes((",".join(FACTS_HEADER) + "\n" + lines).encode("utf-8"))
+        paths.append(str(path))
+    assert read_facts_reprs(python, paths) == read_facts_reprs(sys.executable, paths)

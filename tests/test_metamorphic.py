@@ -17,6 +17,17 @@ from. The exit code, ``report.json`` and ``yearly_aggregates.csv`` stay
 byte for byte the same, and stderr too once each ``facts.csv:N:`` names
 the row's new line. Only rows whose every cell is valid are split: a
 malformed row's valid half, written alone, would be accepted.
+
+Quote: writing each data line's first cell quoted, a '"' in it doubled,
+changes no cell that csv.reader reads, so the exit code, ``report.json``,
+``yearly_aggregates.csv`` and stderr stay byte for byte the same. A
+quoted cell sends its line past the plain-line pattern to csv.reader, so
+the relation holds only if both read every line alike.
+
+Metadata only: one more metadata line, for a name no facts row holds,
+adds one project to ``projects_collected`` and one to
+``excluded_missing_data``, and changes nothing else: not the exit code,
+the rest of ``report.json``, ``yearly_aggregates.csv`` or stderr.
 """
 
 from __future__ import annotations
@@ -38,6 +49,8 @@ from conftest import CORPUS
 REPO = Path(__file__).resolve().parent.parent
 SCALE = 3
 LOC = FACTS_HEADER.index("loc")
+SOURCES = [("corpus", None), ("LONG", 7), ("LONG", 8), ("WIDE", 7), ("WIDE", 8)]
+OUTPUTS = ("report.json", "yearly_aggregates.csv")
 
 
 def scaled_facts(text: str) -> tuple[str, int]:
@@ -98,6 +111,24 @@ def split_facts(text: str, rng: random.Random) -> tuple[str, dict[int, int], int
     return "\n".join(out), moved, split
 
 
+def quoted_facts(text: str) -> tuple[str, int]:
+    """The facts text with each data line's first cell quoted, and how many lines there were.
+
+    A '"' inside the cell is doubled; the other cells and the line
+    endings are kept byte for byte.
+    """
+    assert "\r" not in text  # a line ends at its '\n'
+    lines, quoted = text.split("\n"), 0
+    for index, line in enumerate(lines[1:], 1):
+        if not line:  # the end of the text, or a blank line csv.reader skips either way
+            continue
+        first, comma, rest = line.partition(",")
+        assert not first.startswith('"')  # not quoted already
+        lines[index] = '"' + first.replace('"', '""') + '"' + comma + rest
+        quoted += 1
+    return "\n".join(lines), quoted
+
+
 def analyze(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
     """Exit code, stderr, report document and aggregate rows of one run in ``workdir``.
 
@@ -116,6 +147,12 @@ def analyze(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
     with (workdir / "out" / "yearly_aggregates.csv").open(encoding="utf-8", newline="") as handle:
         rows = list(csv.DictReader(handle))
     return code, stderr, doc, rows
+
+
+def outcome(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
+    """Exit code, stderr and the bytes of each of OUTPUTS of one run in ``workdir``."""
+    code, stderr, _, _ = analyze(workdir, cutoff_year, policy, monkeypatch, capsys)
+    return code, stderr, [(workdir / "out" / name).read_bytes() for name in OUTPUTS]
 
 
 def times_scale(cell: str) -> str:
@@ -147,9 +184,7 @@ def inputs(source: str, seed: int, workdir: Path, monkeypatch) -> tuple[int, str
     return gen.CUTOFF_YEAR, "zero" if source == "WIDE" else "undefined"
 
 
-@pytest.mark.parametrize(
-    "source, seed", [("corpus", None), ("LONG", 7), ("LONG", 8), ("WIDE", 7), ("WIDE", 8)]
-)
+@pytest.mark.parametrize("source, seed", SOURCES)
 def test_every_loc_times_three(source, seed, tmp_path, monkeypatch, capsys):
     base, scaled = tmp_path / "base", tmp_path / "scaled"
     base.mkdir()
@@ -176,9 +211,7 @@ def test_every_loc_times_three(source, seed, tmp_path, monkeypatch, capsys):
     ]
 
 
-@pytest.mark.parametrize(
-    "source, seed", [("corpus", None), ("LONG", 7), ("LONG", 8), ("WIDE", 7), ("WIDE", 8)]
-)
+@pytest.mark.parametrize("source, seed", SOURCES)
 def test_each_full_row_split_into_its_halves(source, seed, tmp_path, monkeypatch, capsys):
     base, split = tmp_path / "base", tmp_path / "split"
     base.mkdir()
@@ -190,14 +223,51 @@ def test_each_full_row_split_into_its_halves(source, seed, tmp_path, monkeypatch
     assert count > 0
     (split / "facts.csv").write_bytes(split_text.encode("utf-8"))
 
-    outcomes = []
-    for workdir in (base, split):
-        code, stderr, _, _ = analyze(workdir, cutoff_year, policy, monkeypatch, capsys)
-        files = [(workdir / "out" / name).read_bytes() for name in ("report.json", "yearly_aggregates.csv")]
-        outcomes.append((code, stderr, files))
-    (code, stderr, files), (code2, stderr2, files2) = outcomes
+    code, stderr, files = outcome(base, cutoff_year, policy, monkeypatch, capsys)
+    code2, stderr2, files2 = outcome(split, cutoff_year, policy, monkeypatch, capsys)
 
     renumbered = re.sub(
         r"facts\.csv:(\d+):", lambda m: f"facts.csv:{moved[int(m.group(1))]}:", stderr
     )
     assert (code2, stderr2, files2) == (code, renumbered, files)
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_each_first_cell_quoted(source, seed, tmp_path, monkeypatch, capsys):
+    base, quoted = tmp_path / "base", tmp_path / "quoted"
+    base.mkdir()
+    quoted.mkdir()
+    cutoff_year, policy = inputs(source, seed, base, monkeypatch)
+    shutil.copy(base / "metadata.jsonl", quoted / "metadata.jsonl")
+    facts = (base / "facts.csv").read_bytes().decode("utf-8")
+    quoted_text, count = quoted_facts(facts)
+    assert count > 0
+    (quoted / "facts.csv").write_bytes(quoted_text.encode("utf-8"))
+
+    expected = outcome(base, cutoff_year, policy, monkeypatch, capsys)
+    assert outcome(quoted, cutoff_year, policy, monkeypatch, capsys) == expected
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_one_more_project_with_metadata_only(source, seed, tmp_path, monkeypatch, capsys):
+    base, extra = tmp_path / "base", tmp_path / "extra"
+    base.mkdir()
+    extra.mkdir()
+    cutoff_year, policy = inputs(source, seed, base, monkeypatch)
+    shutil.copy(base / "facts.csv", extra / "facts.csv")
+    metadata = (base / "metadata.jsonl").read_bytes().decode("utf-8")
+    name = "metadata-only"
+    assert metadata.endswith("\n") and name not in metadata
+    assert name not in (base / "facts.csv").read_bytes().decode("utf-8")
+    line = json.dumps({"name": name, "enlistments": [], "tags": []})
+    (extra / "metadata.jsonl").write_bytes((metadata + line + "\n").encode("utf-8"))
+
+    code, stderr, (report, aggregates) = outcome(base, cutoff_year, policy, monkeypatch, capsys)
+    code2, stderr2, (report2, aggregates2) = outcome(
+        extra, cutoff_year, policy, monkeypatch, capsys
+    )
+
+    doc = json.loads(report)
+    for field in ("projects_collected", "excluded_missing_data"):
+        doc["validation"][field] += 1
+    assert (code2, stderr2, json.loads(report2), aggregates2) == (code, stderr, doc, aggregates)
