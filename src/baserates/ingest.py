@@ -78,18 +78,27 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
     keeps the first record and counts the later one as malformed.
     Project names and enlistment types are interned, so equal type
     strings are one object and a name is the one ``read_facts`` gives.
+    The JSON scanner alone decodes a line that it takes whole, up to JSON
+    whitespace; the others go through ``json.loads`` for its diagnostics.
     """
     report = IngestReport()
     metas: list[ProjectMeta] = []
     seen: set[str] = set()
     path = Path(path)
+    scan = json.JSONDecoder().scan_once  # json.loads' own scanner, without its wrapper
     with _open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():  # iteration yields no empty line
                 continue
             report.records_read += 1
             try:
-                doc = json.loads(line)
+                doc, end = scan(line, 0)
+                whole = not line[end:].strip(" \t\n\r")  # str.isspace accepts more
+            except (StopIteration, ValueError, RecursionError):
+                whole = False
+            try:
+                if not whole:  # leading whitespace, a BOM, more data or an error
+                    doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 reason = f"invalid JSON: {exc.msg}"
             except RecursionError:  # the decoder's nesting limit
@@ -135,13 +144,14 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
     return new(ProjectMeta, (sys.intern(name), tuple(enlistments))), None
 
 
-# A plain line: a name, then nine counts of at most 15 digits (below
-# 2**53), signed only in the three sizes; either half may be all empty. It
-# holds no '"' or NUL, and '\r' only in its line ending, so csv.reader would
-# split it on its commas alone. It captures the name, year, month, loc and
-# loc_added: the other counts are checked by matching and never kept.
+# A plain line: a name, bare or in quotes that hold no '"', then nine counts
+# of at most 15 digits (below 2**53), signed only in the three sizes; either
+# half may be all empty. It holds no NUL and '\r' only in its line ending, so
+# csv.reader would split it on the commas outside the quotes alone. It
+# captures the name, year, month, loc and loc_added: the other counts are
+# checked by matching and never kept.
 _PLAIN_ROW = re.compile(
-    '([^,"\r\n\0]+)' + ",([0-9]{1,15})" * 2
+    '(?:([^,"\r\n\0]+)|"([^"\r\n\0]+)")' + ",([0-9]{1,15})" * 2
     + "(?:,(-?[0-9]{1,15})" + ",-?[0-9]{1,15}" * 2 + "|,,,)"
     + "(?:,([0-9]{1,15})" + ",[0-9]{1,15}" * 3 + "|,,,,)\r?\n?"
 )
@@ -206,11 +216,11 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
                 if match is not None:
                     # The pattern and this test hold every check of a cell, and
                     # csv.reader gives a row with neither half its diagnostic.
-                    project, year, month, loc, added = match.groups()
+                    project, quoted, year, month, loc, added = match.groups()
                     year, month = ints[year], ints[month]
                     if year >= MIN_YEAR and 1 <= month <= 12 and (loc or added):
                         records_read += 1
-                        key = new(FactKey, (names[project], year, month))
+                        key = new(FactKey, (names[project or quoted], year, month))
                         if loc:  # parsed per row: about half of all sizes are too long to share
                             add_size(new(SizeRecord, (key, int(loc))))
                         if added:

@@ -11,6 +11,10 @@ from pathlib import Path
 
 import pytest
 
+# Leave no bytecode beside the sources: a benchmark run would load it and
+# skip compiling them, and so time another program than a fresh checkout.
+sys.dont_write_bytecode = True
+
 import baserates
 from baserates.facts import FactKey, SizeRecord
 
@@ -36,8 +40,8 @@ def gc_left_as_found():
 
 
 def child_env() -> dict[str, str]:
-    """This process's environment with PACKAGE_ROOT first on PYTHONPATH."""
-    env = dict(os.environ)
+    """This process's environment with PACKAGE_ROOT first on PYTHONPATH, writing no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
     )

@@ -5,19 +5,23 @@ Point BASERATES_PYTHONS at one or more interpreter paths, joined with
 `analyze --svg` pipeline, whose outputs must match the goldens byte for
 byte, `count` over the line-classification fixtures, and `read_facts` on
 facts files whose lines take the csv.reader path; the last two must give
-this interpreter's own output. The children import only the
-stdlib-only package, so they need no pytest. Without the variable the
-tests skip.
+this interpreter's own output. `read_metadata` on the metadata oracle's
+edge lines must give what that oracle gives under the same interpreter,
+since `json`'s messages may differ between versions. The children import
+only the stdlib-only package, so they need no pytest. Without the
+variable the tests skip.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
 
 import pytest
 
+import test_metadata_oracle
 from baserates.ingest import FACTS_HEADER
 from conftest import GOLDEN, GOLDEN_FILES, SLOC_DIR, child_env, run_pipeline
 
@@ -80,3 +84,19 @@ def test_csv_reader_lines_match_this_interpreter(python, tmp_path):
         path.write_bytes((",".join(FACTS_HEADER) + "\n" + lines).encode("utf-8"))
         paths.append(str(path))
     assert read_facts_reprs(python, paths) == read_facts_reprs(sys.executable, paths)
+
+
+def test_metadata_edge_lines_match_the_oracle(python, tmp_path):
+    path = tmp_path / "metadata.jsonl"
+    test_metadata_oracle.write_metadata(path, test_metadata_oracle.EDGE_LINES)
+    # The child defines the oracle from its source, so it needs no hypothesis.
+    script = "import json, sys\nfrom pathlib import Path\nfrom baserates import ingest\n"
+    script += "from baserates.ingest import IngestReport, RecordDiagnostic, _open_utf8, _parse_meta\n"
+    script += inspect.getsource(test_metadata_oracle.read_metadata)
+    script += "print(repr(ingest.read_metadata(sys.argv[1])))\nprint(repr(read_metadata(sys.argv[1])))\n"
+    result = subprocess.run(
+        [python, "-c", script, str(path)], env=child_env(), capture_output=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    subject, oracle = result.stdout.splitlines()
+    assert subject == oracle

@@ -20,20 +20,41 @@ malformed row's valid half, written alone, would be accepted.
 
 Quote: writing each data line's first cell quoted, a '"' in it doubled,
 changes no cell that csv.reader reads, so the exit code, ``report.json``,
-``yearly_aggregates.csv`` and stderr stay byte for byte the same. A
-quoted cell sends its line past the plain-line pattern to csv.reader, so
-the relation holds only if both read every line alike.
+``yearly_aggregates.csv`` and stderr stay byte for byte the same. The
+plain-line pattern takes a quoted name as it takes a bare one, and a
+quoted year sends its line to csv.reader, so the relation is run on
+either cell: it holds only if every path reads every line alike.
 
 Metadata only: one more metadata line, for a name no facts row holds,
 adds one project to ``projects_collected`` and one to
 ``excluded_missing_data``, and changes nothing else: not the exit code,
 the rest of ``report.json``, ``yearly_aggregates.csv`` or stderr.
+
+Shift: every valid year cell and the cut-off moved by SHIFT years leave
+the exit code, validation and every metric the same; only the years in
+``yearly_aggregates.csv``, the median attainers, the echoed cut-off and
+the duplicate-record warnings move with them. Year cells before 1950
+stay, so the rows they spoil stay spoiled.
+
+Rename: PREFIX before every project name, in both inputs, keeps the
+names' order, so only the names change: in ``yearly_aggregates.csv``,
+the median attainers and the duplicate warnings. PREFIX holds a comma,
+so each renamed facts cell is quoted, and characters that JSON escapes.
+
+New year: one more project of two months, December of the year before
+the cut-off and January of the cut-off year, adds its two yearly rows
+with the growth of that one link, and one project, two months and two
+years to every count of the validation that it reaches. Shift and
+rename keep every year boundary and the cut-off where the data has
+them, so this relation is the one that holds the December-to-January
+link and the cut-off year itself to a value.
 """
 
 from __future__ import annotations
 
 import csv
 import importlib
+import io
 import json
 import random
 import re
@@ -48,8 +69,11 @@ from conftest import CORPUS
 
 REPO = Path(__file__).resolve().parent.parent
 SCALE = 3
+SHIFT = -9  # keeps every valid year of the sources at or after 1950
+PREFIX = "é\\,"
 LOC = FACTS_HEADER.index("loc")
 SOURCES = [("corpus", None), ("LONG", 7), ("LONG", 8), ("WIDE", 7), ("WIDE", 8)]
+INPUTS = ("metadata.jsonl", "facts.csv")
 OUTPUTS = ("report.json", "yearly_aggregates.csv")
 
 
@@ -111,26 +135,76 @@ def split_facts(text: str, rng: random.Random) -> tuple[str, dict[int, int], int
     return "\n".join(out), moved, split
 
 
-def quoted_facts(text: str) -> tuple[str, int]:
-    """The facts text with each data line's first cell quoted, and how many lines there were.
+def quoted_facts(text: str, column: int = 0) -> tuple[str, int]:
+    """The facts text with cell ``column`` (0 or 1) of each data line quoted, and how many.
 
-    A '"' inside the cell is doubled; the other cells and the line
-    endings are kept byte for byte.
+    A '"' inside the cell is doubled; a line with fewer cells, the other
+    cells and the line endings are kept byte for byte.
     """
     assert "\r" not in text  # a line ends at its '\n'
     lines, quoted = text.split("\n"), 0
     for index, line in enumerate(lines[1:], 1):
-        if not line:  # the end of the text, or a blank line csv.reader skips either way
+        cells = line.split(",", 2)
+        if not line or len(cells) <= column:  # a blank line csv.reader skips either way
             continue
-        first, comma, rest = line.partition(",")
-        assert not first.startswith('"')  # not quoted already
-        lines[index] = '"' + first.replace('"', '""') + '"' + comma + rest
+        assert not cells[column].startswith('"')  # not quoted already
+        cells[column] = '"' + cells[column].replace('"', '""') + '"'
+        lines[index] = ",".join(cells)
         quoted += 1
     return "\n".join(lines), quoted
 
 
-def analyze(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
-    """Exit code, stderr, report document and aggregate rows of one run in ``workdir``.
+def shifted_facts(text: str) -> tuple[str, int]:
+    """The facts text with each digit-only year cell from 1950 on moved by SHIFT, and how many."""
+    assert '"' not in text  # each line splits on its commas alone
+    lines, shifted = text.split("\n"), 0
+    for index, line in enumerate(lines[1:], 1):
+        cells = line.split(",")
+        if len(cells) < 2 or not re.fullmatch("[0-9]+", cells[1]) or int(cells[1]) < 1950:
+            continue
+        cells[1] = str(int(cells[1]) + SHIFT)
+        assert int(cells[1]) >= 1950
+        lines[index] = ",".join(cells)
+        shifted += 1
+    return "\n".join(lines), shifted
+
+
+def renamed_facts(text: str) -> tuple[str, int]:
+    """The facts text with PREFIX before each data line's name, quoted, and how many.
+
+    A line whose cells are all blank, which csv.reader skips, and an
+    empty name, which is malformed, keep their line.
+    """
+    assert '"' not in text and "\r" not in text  # a line ends at its '\n'
+    lines, renamed = text.split("\n"), 0
+    for index, line in enumerate(lines[1:], 1):
+        first, comma, rest = line.partition(",")
+        if first and line.replace(",", "").strip():
+            lines[index] = '"' + PREFIX + first + '"' + comma + rest
+            renamed += 1
+    return "\n".join(lines), renamed
+
+
+def renamed_metadata(text: str) -> str:
+    """The metadata text with PREFIX before each JSON object's non-empty name string.
+
+    A line ``json.loads`` rejects, or whose name is no non-empty string,
+    is kept byte for byte.
+    """
+    lines = text.split("\n")
+    for index, line in enumerate(lines):
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(doc, dict) and isinstance(doc.get("name"), str) and doc["name"]:
+            doc["name"] = PREFIX + doc["name"]
+            lines[index] = json.dumps(doc)  # é as \u00e9, the backslash as \\
+    return "\n".join(lines)
+
+
+def outcome(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
+    """Exit code, stderr and the bytes of each of OUTPUTS of one run in ``workdir``.
 
     The run reads its inputs by relative path, so two runs in two
     directories print the same paths.
@@ -143,16 +217,19 @@ def analyze(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
         "--out", "out",
     ])
     stderr = capsys.readouterr().err
-    doc = json.loads((workdir / "out" / "report.json").read_text(encoding="utf-8"))
-    with (workdir / "out" / "yearly_aggregates.csv").open(encoding="utf-8", newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    return code, stderr, doc, rows
-
-
-def outcome(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
-    """Exit code, stderr and the bytes of each of OUTPUTS of one run in ``workdir``."""
-    code, stderr, _, _ = analyze(workdir, cutoff_year, policy, monkeypatch, capsys)
     return code, stderr, [(workdir / "out" / name).read_bytes() for name in OUTPUTS]
+
+
+def parsed(run) -> tuple:
+    """Exit code, stderr, report document and aggregate rows of an ``outcome``."""
+    code, stderr, (report, aggregates) = run
+    rows = list(csv.DictReader(io.StringIO(aggregates.decode("utf-8"), newline="")))
+    return code, stderr, json.loads(report), rows
+
+
+def analyze(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
+    """Exit code, stderr, report document and aggregate rows of one run in ``workdir``."""
+    return parsed(outcome(workdir, cutoff_year, policy, monkeypatch, capsys))
 
 
 def times_scale(cell: str) -> str:
@@ -184,19 +261,39 @@ def inputs(source: str, seed: int, workdir: Path, monkeypatch) -> tuple[int, str
     return gen.CUTOFF_YEAR, "zero" if source == "WIDE" else "undefined"
 
 
+_BASE_RUNS: dict = {}
+
+
+def base_run(source: str, seed: int, workdir: Path, monkeypatch, capsys):
+    """Write the inputs of ``source`` into ``workdir``; their cut-off, policy and ``outcome``.
+
+    Every relation starts from the same inputs and the same run on them,
+    so both are made once per source.
+    """
+    if (source, seed) not in _BASE_RUNS:
+        cutoff_year, policy = inputs(source, seed, workdir, monkeypatch)
+        texts = [(workdir / name).read_bytes() for name in INPUTS]
+        run = outcome(workdir, cutoff_year, policy, monkeypatch, capsys)
+        _BASE_RUNS[source, seed] = cutoff_year, policy, texts, run
+    cutoff_year, policy, texts, run = _BASE_RUNS[source, seed]
+    for name, text in zip(INPUTS, texts):
+        (workdir / name).write_bytes(text)
+    return cutoff_year, policy, run
+
+
 @pytest.mark.parametrize("source, seed", SOURCES)
 def test_every_loc_times_three(source, seed, tmp_path, monkeypatch, capsys):
     base, scaled = tmp_path / "base", tmp_path / "scaled"
     base.mkdir()
     scaled.mkdir()
-    cutoff_year, policy = inputs(source, seed, base, monkeypatch)
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
     shutil.copy(base / "metadata.jsonl", scaled / "metadata.jsonl")
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
     scaled_text, count = scaled_facts(facts)
     assert count > 0
     (scaled / "facts.csv").write_bytes(scaled_text.encode("utf-8"))
 
-    code, stderr, doc, rows = analyze(base, cutoff_year, policy, monkeypatch, capsys)
+    code, stderr, doc, rows = parsed(run)
     code3, stderr3, doc3, rows3 = analyze(scaled, cutoff_year, policy, monkeypatch, capsys)
 
     assert (code3, stderr3, doc3["validation"]) == (code, stderr, doc["validation"])
@@ -216,14 +313,14 @@ def test_each_full_row_split_into_its_halves(source, seed, tmp_path, monkeypatch
     base, split = tmp_path / "base", tmp_path / "split"
     base.mkdir()
     split.mkdir()
-    cutoff_year, policy = inputs(source, seed, base, monkeypatch)
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
     shutil.copy(base / "metadata.jsonl", split / "metadata.jsonl")
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
     split_text, moved, count = split_facts(facts, random.Random(f"{source}-{seed}"))
     assert count > 0
     (split / "facts.csv").write_bytes(split_text.encode("utf-8"))
 
-    code, stderr, files = outcome(base, cutoff_year, policy, monkeypatch, capsys)
+    code, stderr, files = run
     code2, stderr2, files2 = outcome(split, cutoff_year, policy, monkeypatch, capsys)
 
     renumbered = re.sub(
@@ -232,20 +329,28 @@ def test_each_full_row_split_into_its_halves(source, seed, tmp_path, monkeypatch
     assert (code2, stderr2, files2) == (code, renumbered, files)
 
 
-@pytest.mark.parametrize("source, seed", SOURCES)
-def test_each_first_cell_quoted(source, seed, tmp_path, monkeypatch, capsys):
+def check_quoted(column, source, seed, tmp_path, monkeypatch, capsys):
     base, quoted = tmp_path / "base", tmp_path / "quoted"
     base.mkdir()
     quoted.mkdir()
-    cutoff_year, policy = inputs(source, seed, base, monkeypatch)
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
     shutil.copy(base / "metadata.jsonl", quoted / "metadata.jsonl")
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
-    quoted_text, count = quoted_facts(facts)
+    quoted_text, count = quoted_facts(facts, column)
     assert count > 0
     (quoted / "facts.csv").write_bytes(quoted_text.encode("utf-8"))
 
-    expected = outcome(base, cutoff_year, policy, monkeypatch, capsys)
-    assert outcome(quoted, cutoff_year, policy, monkeypatch, capsys) == expected
+    assert outcome(quoted, cutoff_year, policy, monkeypatch, capsys) == run
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_each_first_cell_quoted(source, seed, tmp_path, monkeypatch, capsys):
+    check_quoted(0, source, seed, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_each_year_cell_quoted(source, seed, tmp_path, monkeypatch, capsys):
+    check_quoted(1, source, seed, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("source, seed", SOURCES)
@@ -253,7 +358,7 @@ def test_one_more_project_with_metadata_only(source, seed, tmp_path, monkeypatch
     base, extra = tmp_path / "base", tmp_path / "extra"
     base.mkdir()
     extra.mkdir()
-    cutoff_year, policy = inputs(source, seed, base, monkeypatch)
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
     shutil.copy(base / "facts.csv", extra / "facts.csv")
     metadata = (base / "metadata.jsonl").read_bytes().decode("utf-8")
     name = "metadata-only"
@@ -262,7 +367,7 @@ def test_one_more_project_with_metadata_only(source, seed, tmp_path, monkeypatch
     line = json.dumps({"name": name, "enlistments": [], "tags": []})
     (extra / "metadata.jsonl").write_bytes((metadata + line + "\n").encode("utf-8"))
 
-    code, stderr, (report, aggregates) = outcome(base, cutoff_year, policy, monkeypatch, capsys)
+    code, stderr, (report, aggregates) = run
     code2, stderr2, (report2, aggregates2) = outcome(
         extra, cutoff_year, policy, monkeypatch, capsys
     )
@@ -271,3 +376,106 @@ def test_one_more_project_with_metadata_only(source, seed, tmp_path, monkeypatch
     for field in ("projects_collected", "excluded_missing_data"):
         doc["validation"][field] += 1
     assert (code2, stderr2, json.loads(report2), aggregates2) == (code, stderr, doc, aggregates)
+
+
+def with_attainers(doc: dict, change) -> dict:
+    """``doc`` with ``change`` applied to each median attainer of each metric."""
+    return {
+        **doc,
+        "metrics": [
+            {**section, "median_attainers": [change(a) for a in section["median_attainers"]]}
+            for section in doc["metrics"]
+        ],
+    }
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_every_year_shifted(source, seed, tmp_path, monkeypatch, capsys):
+    base, shifted = tmp_path / "base", tmp_path / "shifted"
+    base.mkdir()
+    shifted.mkdir()
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
+    shutil.copy(base / "metadata.jsonl", shifted / "metadata.jsonl")
+    facts = (base / "facts.csv").read_bytes().decode("utf-8")
+    shifted_text, count = shifted_facts(facts)
+    assert count > 0
+    (shifted / "facts.csv").write_bytes(shifted_text.encode("utf-8"))
+
+    code, stderr, doc, rows = parsed(run)
+    code2, stderr2, doc2, rows2 = analyze(
+        shifted, cutoff_year + SHIFT, policy, monkeypatch, capsys
+    )
+
+    moved = re.sub(
+        r"(record for .* at )(\d+)(-\d\d; project rejected)$",
+        lambda m: f"{m[1]}{int(m[2]) + SHIFT}{m[3]}",
+        stderr,
+        flags=re.MULTILINE,
+    )
+    doc = with_attainers(doc, lambda a: {**a, "year": a["year"] + SHIFT})
+    doc["config"]["cutoff_year"] += SHIFT
+    assert (code2, stderr2, doc2) == (code, moved, doc)
+    assert rows2 == [{**row, "year": str(int(row["year"]) + SHIFT)} for row in rows]
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_every_name_prefixed(source, seed, tmp_path, monkeypatch, capsys):
+    base, renamed = tmp_path / "base", tmp_path / "renamed"
+    base.mkdir()
+    renamed.mkdir()
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
+    facts = (base / "facts.csv").read_bytes().decode("utf-8")
+    renamed_text, count = renamed_facts(facts)
+    assert count > 0
+    (renamed / "facts.csv").write_bytes(renamed_text.encode("utf-8"))
+    metadata = (base / "metadata.jsonl").read_bytes().decode("utf-8")
+    (renamed / "metadata.jsonl").write_bytes(renamed_metadata(metadata).encode("utf-8"))
+
+    code, stderr, doc, rows = parsed(run)
+    code2, stderr2, doc2, rows2 = analyze(renamed, cutoff_year, policy, monkeypatch, capsys)
+
+    prefixed = re.sub(
+        r"(duplicate project name |duplicate (?:size|activity) record for )'([^'\\]*)'",
+        lambda m: m[1] + repr(PREFIX + m[2]),
+        stderr,
+    )
+    doc = with_attainers(doc, lambda a: {**a, "project": PREFIX + a["project"]})
+    assert (code2, stderr2, doc2) == (code, prefixed, doc)
+    assert rows2 == [{**row, "project": PREFIX + row["project"]} for row in rows]
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_one_more_project_across_new_year(source, seed, tmp_path, monkeypatch, capsys):
+    base, extra = tmp_path / "base", tmp_path / "extra"
+    base.mkdir()
+    extra.mkdir()
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
+    name = "new-year"
+    metadata = (base / "metadata.jsonl").read_bytes().decode("utf-8")
+    facts = (base / "facts.csv").read_bytes().decode("utf-8")
+    assert metadata.endswith("\n") and facts.endswith("\n")
+    assert name not in metadata and name not in facts
+    line = json.dumps({"name": name, "enlistments": [], "tags": []})
+    (extra / "metadata.jsonl").write_bytes((metadata + line + "\n").encode("utf-8"))
+    months = f"{name},{cutoff_year - 1},12,100,9,9,1,1,1,1\n{name},{cutoff_year},1,150,9,9,1,1,1,1\n"
+    (extra / "facts.csv").write_bytes((facts + months).encode("utf-8"))
+
+    code, stderr, doc, rows = parsed(run)
+    code2, stderr2, doc2, rows2 = analyze(extra, cutoff_year, policy, monkeypatch, capsys)
+
+    validation = doc["validation"]
+    for field, more in [
+        ("projects_collected", 1), ("projects_remaining", 1),
+        ("months_before_rule3", 2), ("months_remaining", 2), ("years_remaining", 2),
+    ]:
+        validation[field] += more
+    for field, more in [("projects", 1), ("months", 2), ("years", 2)]:
+        validation["after_cutoff"][field] += more
+    growthless = ("0", "1.0") if policy == "zero" else ("", "")
+    added = [
+        [name, str(cutoff_year - 1), "100", *growthless, "0", "1"],
+        [name, str(cutoff_year), "150", "50", "1.5", "1", "1"],
+    ]
+    assert (code2, stderr2, doc2["validation"]) == (code, stderr, validation)
+    assert [row for row in rows2 if row["project"] != name] == rows
+    assert [list(row.values()) for row in rows2 if row["project"] == name] == added
