@@ -144,14 +144,13 @@ def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
     return new(ProjectMeta, (sys.intern(name), tuple(enlistments))), None
 
 
-# A plain line: a name, bare or in quotes that hold no '"', then nine counts
-# of at most 15 digits (below 2**53), signed only in the three sizes; either
-# half may be all empty. It holds no NUL and '\r' only in its line ending, so
-# csv.reader would split it on the commas outside the quotes alone. It
-# captures the name, year, month, loc and loc_added: the other counts are
-# checked by matching and never kept.
+# A plain line: a name, then nine counts of at most 15 digits (below
+# 2**53), signed only in the three sizes; either half may be all empty. It
+# holds no '"' or NUL, and '\r' only in its line ending, so csv.reader would
+# split it on its commas alone. It captures the name, year, month, loc and
+# loc_added: the other counts are checked by matching and never kept.
 _PLAIN_ROW = re.compile(
-    '(?:([^,"\r\n\0]+)|"([^"\r\n\0]+)")' + ",([0-9]{1,15})" * 2
+    '([^,"\r\n\0]+)' + ",([0-9]{1,15})" * 2
     + "(?:,(-?[0-9]{1,15})" + ",-?[0-9]{1,15}" * 2 + "|,,,)"
     + "(?:,([0-9]{1,15})" + ",[0-9]{1,15}" * 3 + "|,,,,)\r?\n?"
 )
@@ -216,11 +215,11 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
                 if match is not None:
                     # The pattern and this test hold every check of a cell, and
                     # csv.reader gives a row with neither half its diagnostic.
-                    project, quoted, year, month, loc, added = match.groups()
+                    project, year, month, loc, added = match.groups()
                     year, month = ints[year], ints[month]
                     if year >= MIN_YEAR and 1 <= month <= 12 and (loc or added):
                         records_read += 1
-                        key = new(FactKey, (names[project or quoted], year, month))
+                        key = new(FactKey, (names[project], year, month))
                         if loc:  # parsed per row: about half of all sizes are too long to share
                             add_size(new(SizeRecord, (key, int(loc))))
                         if added:

@@ -368,32 +368,29 @@ class TestReadFacts:
         assert len(activity) == (0 if reason else 1)
 
 
-def quote_cell(line, index):
-    """``line`` with its cell ``index`` (0 or 1) quoted, if a comma ends that cell."""
-    cells = line.split(",", 2)
-    if len(cells) <= index + 1:
+def quote_first_cell(line):
+    """``line`` with its first cell quoted, if it holds a comma to end that cell."""
+    if "," not in line:
         return line
-    cells[index] = '"' + cells[index].replace('"', '""') + '"'
-    return ",".join(cells)
+    first, rest = line.split(",", 1)
+    return '"' + first.replace('"', '""') + '",' + rest
 
 
 def read_both_ways(path, *lines, newline="\n"):
-    """``read_facts`` on ``lines`` as given and with a cell of each line quoted.
+    """``read_facts`` on ``lines`` as given and with each line's first cell quoted.
 
-    A quoted name that holds no '"' keeps a line on the plain-line path;
-    a quoted year hands it to csv.reader. So the results differ if either
-    path reads any line otherwise. Returns the ``repr`` of the result, or
-    the IngestError's text.
+    A quoted cell hands its line to csv.reader, so the two results differ
+    if the plain-line path reads any line otherwise. Returns the ``repr``
+    of the result, or the IngestError's text.
     """
     results = []
-    for index in (None, 0, 1):
-        variant = lines if index is None else [quote_cell(line, index) for line in lines]
+    for variant in (lines, [quote_first_cell(line) for line in lines]):
         write_lines(path, HEADER, *variant, newline=newline)
         try:
             results.append(repr(read_facts(path)))
         except IngestError as exc:
             results.append(f"IngestError: {exc}")
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
     return results[0]
 
 
@@ -501,56 +498,17 @@ class TestPlainLines:
         read_both_ways(tmp_path / "facts.csv", *lines)
 
     def test_rows_after_a_quoted_row_take_the_plain_line_path(self, tmp_path, monkeypatch):
-        rows = spy_on_rows(monkeypatch)
+        parse, rows = ingest._parse_facts_row, []
+
+        def spy(row, *args):
+            rows.append(row)
+            return parse(row, *args)
+
+        monkeypatch.setattr(ingest, "_parse_facts_row", spy)
         lines = [f"p,2012,{month},1,1,1,1,1,1,1" for month in range(1, 13)]
-        size, activity, report = read_facts_of(tmp_path, quote_cell(lines[0], 1), *lines[1:])
+        size, activity, report = read_facts_of(tmp_path, quote_first_cell(lines[0]), *lines[1:])
         assert rows == [lines[0].split(",")]
         assert len(size) == len(activity) == report.records_read == 12
-
-    def test_quoted_names_take_the_plain_line_path(self, tmp_path, monkeypatch):
-        rows = spy_on_rows(monkeypatch)
-        names = ["p", "a,b", "é ü", "x" * 100]
-        lines = [f'"{name}",2012,{month},1,1,1,1,1,1,1' for name in names for month in (1, 2)]
-        size, activity, report = read_facts_of(tmp_path, *lines, '"p",2012,13,1,1,1,1,1,1,1')
-        assert rows == [["p", "2012", "13"] + ["1"] * 7]  # only for its diagnostic
-        assert [record.key.project for record in size] == [n for n in names for _ in (1, 2)]
-        assert len(activity) == 8 and report.records_read == 9
-        assert [(m.line, m.reason) for m in report.malformed] == [(10, "month 13 outside 1..12")]
-
-    # First cells that the quoted-name alternative must leave to csv.reader:
-    # text after the closing quote, an empty name, a space before the quote
-    # and a quote that no later one closes.
-    @pytest.mark.parametrize(
-        "first, projects, malformed",
-        [
-            ('"p"x', ["px"], [(3, "month 13 outside 1..12")]),
-            ('""', [], [(2, "empty project name"), (3, "month 13 outside 1..12")]),
-            (' "p"', [' "p"'], [(3, "month 13 outside 1..12")]),
-            ('"abc', [], [(3, "expected 10 fields, got 1")]),
-        ],
-        ids=["text-after-quote", "empty", "space-before-quote", "unterminated"],
-    )
-    def test_odd_quoted_names_go_to_csv_reader(
-        self, tmp_path, monkeypatch, first, projects, malformed
-    ):
-        rows = spy_on_rows(monkeypatch)
-        lines = [f"{first},2012,1,1,1,1,1,1,1,1", "p,2012,13,1,1,1,1,1,1,1"]
-        size, _, report = read_facts_of(tmp_path, *lines)
-        assert rows == list(csv.reader(line + "\n" for line in lines))  # both lines
-        assert [record.key.project for record in size] == projects
-        assert [(m.line, m.reason) for m in report.malformed] == malformed
-
-
-def spy_on_rows(monkeypatch):
-    """The rows that ``read_facts`` hands to ``_parse_facts_row`` from now on."""
-    parse, rows = ingest._parse_facts_row, []
-
-    def spy(row, *args):
-        rows.append(row)
-        return parse(row, *args)
-
-    monkeypatch.setattr(ingest, "_parse_facts_row", spy)
-    return rows
 
 
 @pytest.mark.parametrize(

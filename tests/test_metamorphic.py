@@ -20,10 +20,9 @@ malformed row's valid half, written alone, would be accepted.
 
 Quote: writing each data line's first cell quoted, a '"' in it doubled,
 changes no cell that csv.reader reads, so the exit code, ``report.json``,
-``yearly_aggregates.csv`` and stderr stay byte for byte the same. The
-plain-line pattern takes a quoted name as it takes a bare one, and a
-quoted year sends its line to csv.reader, so the relation is run on
-either cell: it holds only if every path reads every line alike.
+``yearly_aggregates.csv`` and stderr stay byte for byte the same. A
+quoted cell sends its line past the plain-line pattern to csv.reader, so
+the relation holds only if both read every line alike.
 
 Metadata only: one more metadata line, for a name no facts row holds,
 adds one project to ``projects_collected`` and one to
@@ -135,21 +134,20 @@ def split_facts(text: str, rng: random.Random) -> tuple[str, dict[int, int], int
     return "\n".join(out), moved, split
 
 
-def quoted_facts(text: str, column: int = 0) -> tuple[str, int]:
-    """The facts text with cell ``column`` (0 or 1) of each data line quoted, and how many.
+def quoted_facts(text: str) -> tuple[str, int]:
+    """The facts text with each data line's first cell quoted, and how many lines there were.
 
-    A '"' inside the cell is doubled; a line with fewer cells, the other
-    cells and the line endings are kept byte for byte.
+    A '"' inside the cell is doubled; the other cells and the line
+    endings are kept byte for byte.
     """
     assert "\r" not in text  # a line ends at its '\n'
     lines, quoted = text.split("\n"), 0
     for index, line in enumerate(lines[1:], 1):
-        cells = line.split(",", 2)
-        if not line or len(cells) <= column:  # a blank line csv.reader skips either way
+        if not line:  # the end of the text, or a blank line csv.reader skips either way
             continue
-        assert not cells[column].startswith('"')  # not quoted already
-        cells[column] = '"' + cells[column].replace('"', '""') + '"'
-        lines[index] = ",".join(cells)
+        first, comma, rest = line.partition(",")
+        assert not first.startswith('"')  # not quoted already
+        lines[index] = '"' + first.replace('"', '""') + '"' + comma + rest
         quoted += 1
     return "\n".join(lines), quoted
 
@@ -329,28 +327,19 @@ def test_each_full_row_split_into_its_halves(source, seed, tmp_path, monkeypatch
     assert (code2, stderr2, files2) == (code, renumbered, files)
 
 
-def check_quoted(column, source, seed, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_each_first_cell_quoted(source, seed, tmp_path, monkeypatch, capsys):
     base, quoted = tmp_path / "base", tmp_path / "quoted"
     base.mkdir()
     quoted.mkdir()
     cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
     shutil.copy(base / "metadata.jsonl", quoted / "metadata.jsonl")
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
-    quoted_text, count = quoted_facts(facts, column)
+    quoted_text, count = quoted_facts(facts)
     assert count > 0
     (quoted / "facts.csv").write_bytes(quoted_text.encode("utf-8"))
 
     assert outcome(quoted, cutoff_year, policy, monkeypatch, capsys) == run
-
-
-@pytest.mark.parametrize("source, seed", SOURCES)
-def test_each_first_cell_quoted(source, seed, tmp_path, monkeypatch, capsys):
-    check_quoted(0, source, seed, tmp_path, monkeypatch, capsys)
-
-
-@pytest.mark.parametrize("source, seed", SOURCES)
-def test_each_year_cell_quoted(source, seed, tmp_path, monkeypatch, capsys):
-    check_quoted(1, source, seed, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("source, seed", SOURCES)
