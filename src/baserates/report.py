@@ -36,28 +36,17 @@ def build_report(validation: ValidationReport, sections, config: dict) -> dict:
 
 
 def _section_to_dict(section: MetricSection) -> dict:
-    summary = section.summary
-    box = section.boxplot
+    summary, box = section.summary, section.boxplot
+    # A key given again keeps its first place, so the fields stay in MetricSummary's order.
     return {
+        **summary._asdict(),
         "metric": summary.metric.value,
-        "median": summary.median,
         "median_attainers": [
-            {"project": project, "year": year}
-            for project, year in summary.median_attainers
+            {"project": project, "year": year} for project, year in summary.median_attainers
         ],
-        "iqr": summary.iqr,
-        "observations": summary.observations,
-        "outliers": summary.outliers,
         "outlier_rate": summary.outlier_rate,
         "undefined_excluded": section.undefined_excluded,
-        "boxplot": {
-            "q1": box.q1,
-            "median": box.median,
-            "q3": box.q3,
-            "whisker_low": box.whisker_low,
-            "whisker_high": box.whisker_high,
-            "outlier_values": list(box.outlier_values),
-        },
+        "boxplot": {**box._asdict(), "outlier_values": list(box.outlier_values)},
     }
 
 

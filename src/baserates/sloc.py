@@ -315,12 +315,7 @@ def count_tree(root, registry) -> TreeCount:
                 continue
             result.files.append(FileCount(relative, syntax.name, counts))
             per_language.setdefault(syntax.name, []).append(counts)
-    result.by_language = {name: _summed(counts) for name, counts in per_language.items()}
-    result.total = _summed(result.by_language.values())
+    result.by_language = {name: sum(counts, LineCounts()) for name, counts in per_language.items()}
+    result.total = sum(result.by_language.values(), LineCounts())
     return result
-
-
-def _summed(counts) -> LineCounts:
-    """Column sums of ``counts`` (zeros for none)."""
-    return LineCounts(*map(sum, zip(*((c.code, c.comment, c.blank) for c in counts))))
 

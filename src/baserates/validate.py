@@ -139,14 +139,11 @@ def validate_dataset(
             meta = meta_by_name.get(project)
             if meta is None:
                 rule1 += 1
-            else:  # a plain loop: any() would build a generator per project
-                for kind, url in meta.enlistments:
-                    if svn_kinds[kind] and not scoped(url):
-                        rule2 += 1
-                        break
-                else:
-                    remaining += 1
-                    remains = True
+            elif any(svn_kinds[kind] and not scoped(url) for kind, url in meta.enlistments):
+                rule2 += 1
+            else:
+                remaining += 1
+                remains = True
         if not remains:
             continue
         months_before_rule3 += 1

@@ -458,6 +458,27 @@ class TestAnalyze:
         )
         assert main(["analyze", "--config", str(config_path)]) == EXIT_USAGE
 
+    def test_unknown_policy_in_config_is_usage_error(self, tmp_path, capsys):
+        # argparse's choices stop a bad --growthless-year-policy; only a config reaches the check.
+        copy_corpus(tmp_path)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "metadata": str(tmp_path / "metadata.jsonl"),
+                    "facts": str(tmp_path / "facts.csv"),
+                    "cutoff_year": 2012,
+                    "out": str(tmp_path / "out"),
+                    "growthless_year_policy": "bogus",
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "baserates: error: unknown growthless-year policy 'bogus'\n"
+        )
+
     @pytest.mark.parametrize(
         "key,value",
         [("metadata", 5), ("facts", ["facts.csv"]), ("out", True), ("svg", "no")],

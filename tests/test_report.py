@@ -158,6 +158,10 @@ class TestSvg:
         box = boxplot_data([1.0, 1.0, 1.0, 1.0, 1000.0])
         svg = render_boxplot_svg(box, "zoomed")
         assert "<circle" not in svg  # 1000 lies far outside the padded whisker span
+        # Outlier 20 lies inside the span 4-19 padded up to 21.25, so it is drawn.
+        svg = render_boxplot_svg(boxplot_data([4, 6, 7, 7, 7, 12, 12, 19, 20]), "in range")
+        assert svg.count("<circle") == 1
+        assert '<circle cx="220.00" cy="73.64" r="3" fill="none" stroke="black"/>' in svg
 
     def test_escapes_markup(self):
         box = boxplot_data([1.0, 2.0, 3.0])
