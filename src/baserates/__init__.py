@@ -31,7 +31,8 @@ _EXPORTS = {
         "sloc",
     ),
     **dict.fromkeys(
-        ["Metric", "MetricSummary", "Observation", "base_rate_posterior", "summarize"],
+        ["BoxplotData", "Metric", "MetricSummary", "Observation", "base_rate_posterior",
+         "boxplot_data", "summarize"],
         "stats",
     ),
     **dict.fromkeys(["ValidationReport", "validate_dataset"], "validate"),

@@ -250,13 +250,7 @@ def run_analyze(config: dict) -> int:
     for metric in stats.Metric:
         observations, undefined = _observations(metric, aggregates, cutoff_year)
         if observations:
-            sections.append(
-                report.MetricSection(
-                    stats.summarize(observations, metric),
-                    stats.boxplot_data([obs.value for obs in observations]),
-                    undefined,
-                )
-            )
+            sections.append(report.MetricSection(stats.summarize(observations, metric), undefined))
     document = report.build_report(validation_report, sections, config)
 
     out = Path(config["out"])
@@ -267,7 +261,7 @@ def run_analyze(config: dict) -> int:
         (out / "report.txt").write_text(report.render_text(document), encoding="utf-8")
         # The directory keeps a boxplot only for a metric this run rendered,
         # none that an earlier run into it left behind.
-        boxplots = {s.summary.metric: s.boxplot for s in sections if config["svg"]}
+        boxplots = {s.summary.metric: s.summary.boxplot for s in sections if config["svg"]}
         for metric in stats.Metric:
             path = out / f"boxplot_{metric.value.lower()}.svg"
             if metric in boxplots:

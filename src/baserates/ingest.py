@@ -58,7 +58,7 @@ class IngestReport(SimpleNamespace):
 
 
 @contextmanager
-def _open_utf8(path: Path, newline: str | None = None):
+def _open_utf8(path: Path, newline: str = "\n"):
     """Open ``path`` as UTF-8 text; a bad byte raises IngestError naming file and line."""
     try:
         with path.open(encoding="utf-8", newline=newline) as handle:
@@ -72,7 +72,7 @@ def _open_utf8(path: Path, newline: str | None = None):
 
 
 def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
-    """Parse one JSON object per line into project metadata records.
+    """Parse one JSON object per line, ended by a line feed alone, into project metadata.
 
     Malformed lines are skipped and counted; a duplicate project name
     keeps the first record and counts the later one as malformed.

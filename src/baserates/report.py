@@ -19,7 +19,6 @@ NO_METRICS_NOTE = "no metrics computed"
 
 class MetricSection(NamedTuple):
     summary: MetricSummary
-    boxplot: BoxplotData
     undefined_excluded: int = 0
 
 
@@ -36,10 +35,12 @@ def build_report(validation: ValidationReport, sections, config: dict) -> dict:
 
 
 def _section_to_dict(section: MetricSection) -> dict:
-    summary, box = section.summary, section.boxplot
+    summary = section.summary
+    fields = summary._asdict()
+    box = fields.pop("boxplot")  # it goes last, after the keys that follow from the summary
     # A key given again keeps its first place, so the fields stay in MetricSummary's order.
     return {
-        **summary._asdict(),
+        **fields,
         "metric": summary.metric.value,
         "median_attainers": [
             {"project": project, "year": year} for project, year in summary.median_attainers

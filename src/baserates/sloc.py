@@ -61,8 +61,9 @@ class _LanguageSyntax(NamedTuple):
 class LanguageSyntax(_LanguageSyntax):
     """Comment and string syntax for one language, keyed by file extension.
 
-    No delimiter may be empty or hold a line break, and no line comment,
-    block opener or string delimiter may start with whitespace.
+    Each extension is "" or a dot and then one or more characters, none a
+    dot or a slash. No delimiter may be empty or hold a line break, and no
+    line comment, block opener or string delimiter may start with whitespace.
     """
 
     __slots__ = ()
@@ -70,6 +71,9 @@ class LanguageSyntax(_LanguageSyntax):
     def __new__(cls, name, extensions, line_comments=(), block_comments=(), string_delimiters=()):
         if not extensions:
             raise ValueError(f"language {name!r} declares no extensions")
+        # A suffix runs from a name's last dot; "" is the suffix of a name without one.
+        if not all(re.fullmatch(r"(\.[^./]+)?", extension) for extension in extensions):
+            raise ValueError(f"language {name!r} has an extension no file name can have")
         delimiters = list(line_comments) + list(string_delimiters)
         for open_delim, close_delim in block_comments:
             delimiters += [open_delim, close_delim]

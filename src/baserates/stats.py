@@ -66,7 +66,7 @@ def _boxplot(xs: Sequence[float]) -> BoxplotData:
 
 
 class MetricSummary(NamedTuple):
-    """Median, dispersion, and outlier accounting for one metric."""
+    """Median, dispersion, outlier accounting and boxplot for one metric."""
 
     metric: Metric
     median: float
@@ -74,6 +74,7 @@ class MetricSummary(NamedTuple):
     iqr: float
     observations: int
     outliers: int
+    boxplot: BoxplotData
 
     @property
     def outlier_rate(self) -> float:
@@ -81,7 +82,7 @@ class MetricSummary(NamedTuple):
 
 
 def summarize(observations: Sequence[Observation], metric: Metric) -> MetricSummary:
-    """Median, IQR, and Tukey outlier count over (project, year, value) points.
+    """Median, IQR, Tukey outlier count and boxplot over (project, year, value) points.
 
     Median attainers are the observations whose value equals the median
     exactly; when the median is interpolated, the attainers of the two
@@ -103,6 +104,7 @@ def summarize(observations: Sequence[Observation], metric: Metric) -> MetricSumm
         iqr=box.q3 - box.q1,
         observations=len(xs),
         outliers=len(box.outlier_values),
+        boxplot=box,
     )
 
 

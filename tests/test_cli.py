@@ -304,6 +304,20 @@ class TestAnalyze:
         assert main(analyze_args(tmp_path)) == EXIT_OK
         assert calls == ["read_facts", "join_facts", "read_metadata"]
 
+    def test_each_rendered_metric_gets_one_boxplot_pass(self, tmp_path, monkeypatch):
+        # One _boxplot per metric feeds its summary, report.json and its SVG.
+        copy_corpus(tmp_path)
+        inner, sizes = stats._boxplot, []
+
+        def spy(xs):
+            sizes.append(len(xs))
+            return inner(xs)
+
+        monkeypatch.setattr(stats, "_boxplot", spy)
+        assert main(analyze_args(tmp_path) + ["--svg"]) == EXIT_OK
+        doc = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert sizes == [m["observations"] for m in doc["metrics"]] and len(sizes) == 3
+
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         copy_corpus(tmp_path)
         argv = analyze_args(tmp_path, metadata=str(tmp_path / "absent.jsonl"))

@@ -181,6 +181,33 @@ class TestReadMetadata:
         _, report = read_metadata(path)
         assert report.records_read == 1
 
+    # Metadata lines end at \n alone (JSON Lines); a \r is JSON whitespace.
+    def test_object_broken_by_a_lone_cr_reads_whole(self, tmp_path):
+        path = tmp_path / "meta.jsonl"
+        path.write_bytes(b'{"name":\r"a"}\n{"name": "b"}\n')
+        metas, report = read_metadata(path)
+        assert [m.name for m in metas] == ["a", "b"]
+        assert report.records_read == 2 and report.malformed == []
+
+    def test_objects_parted_by_a_lone_cr_are_one_malformed_line(self, tmp_path):
+        path = tmp_path / "meta.jsonl"
+        path.write_bytes(b'{"name": "a"}\r{"name": "b"}\n{"name": "c"}\n')
+        metas, report = read_metadata(path)
+        assert [m.name for m in metas] == ["c"]
+        assert report.records_read == 2
+        assert report.malformed == [RecordDiagnostic(str(path), 1, "invalid JSON: Extra data")]
+
+    def test_crlf_reads_as_lf(self, tmp_path):
+        lines = ['{"name": "a"}', "", "[]", '{"name": "b"}', '{"name": "a"}', "{"]
+        results = []
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / f"meta{len(newline)}.jsonl"
+            write_lines(path, *lines, newline=newline)
+            metas, report = read_metadata(path)
+            results.append((metas, report.records_read, [(d.line, d.reason) for d in report.malformed]))
+        assert results[0] == results[1]
+        assert [line for line, _ in results[0][2]] == [3, 5, 6]
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             read_metadata(tmp_path / "absent.jsonl")
@@ -529,7 +556,9 @@ def test_non_utf8_error_names_the_line(tmp_path, reader, first, line, newline):
     data.insert(2500, b"caf\xe9")
     path = tmp_path / "input"
     path.write_bytes(newline.encode().join(data) + newline.encode())
-    with pytest.raises(IngestError, match=rf"^{re.escape(str(path))}:2501: not UTF-8 text \("):
+    # Metadata lines end at \n alone, so a file parted by lone \r is one line.
+    lineno = 1 if reader is read_metadata and newline == "\r" else 2501
+    with pytest.raises(IngestError, match=rf"^{re.escape(str(path))}:{lineno}: not UTF-8 text \("):
         reader(path)
 
 

@@ -47,23 +47,36 @@ years to every count of the validation that it reaches. Shift and
 rename keep every year boundary and the cut-off where the data has
 them, so this relation is the one that holds the December-to-January
 link and the cut-off year itself to a value.
+
+Scale, split, quote and metadata only run on the golden corpus and the
+benchmark's generated inputs, and also on the small inputs of
+``test_pipeline_oracle.inputs``: their rows come interleaved, shuffled,
+in split halves and with repeated halves.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import importlib
 import io
 import json
+import os
 import random
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import test_pipeline_oracle
 from baserates.cli import main
 from baserates.ingest import FACTS_HEADER
+from baserates.metrics import GROWTHLESS_POLICIES
 from conftest import CORPUS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -201,21 +214,24 @@ def renamed_metadata(text: str) -> str:
     return "\n".join(lines)
 
 
-def outcome(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
+def outcome(workdir: Path, cutoff_year: int, policy: str):
     """Exit code, stderr and the bytes of each of OUTPUTS of one run in ``workdir``.
 
     The run reads its inputs by relative path, so two runs in two
     directories print the same paths.
     """
-    monkeypatch.chdir(workdir)
-    capsys.readouterr()
-    code = main([
-        "analyze", "--metadata", "metadata.jsonl", "--facts", "facts.csv",
-        "--cutoff-year", str(cutoff_year), "--growthless-year-policy", policy,
-        "--out", "out",
-    ])
-    stderr = capsys.readouterr().err
-    return code, stderr, [(workdir / "out" / name).read_bytes() for name in OUTPUTS]
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = main([
+                "analyze", "--metadata", "metadata.jsonl", "--facts", "facts.csv",
+                "--cutoff-year", str(cutoff_year), "--growthless-year-policy", policy,
+                "--out", "out",
+            ])
+    finally:
+        os.chdir(cwd)
+    return code, stderr.getvalue(), [(workdir / "out" / name).read_bytes() for name in OUTPUTS]
 
 
 def parsed(run) -> tuple:
@@ -225,9 +241,9 @@ def parsed(run) -> tuple:
     return code, stderr, json.loads(report), rows
 
 
-def analyze(workdir: Path, cutoff_year: int, policy: str, monkeypatch, capsys):
+def analyze(workdir: Path, cutoff_year: int, policy: str):
     """Exit code, stderr, report document and aggregate rows of one run in ``workdir``."""
-    return parsed(outcome(workdir, cutoff_year, policy, monkeypatch, capsys))
+    return parsed(outcome(workdir, cutoff_year, policy))
 
 
 def times_scale(cell: str) -> str:
@@ -262,7 +278,7 @@ def inputs(source: str, seed: int, workdir: Path, monkeypatch) -> tuple[int, str
 _BASE_RUNS: dict = {}
 
 
-def base_run(source: str, seed: int, workdir: Path, monkeypatch, capsys):
+def base_run(source: str, seed: int, workdir: Path, monkeypatch):
     """Write the inputs of ``source`` into ``workdir``; their cut-off, policy and ``outcome``.
 
     Every relation starts from the same inputs and the same run on them,
@@ -271,7 +287,7 @@ def base_run(source: str, seed: int, workdir: Path, monkeypatch, capsys):
     if (source, seed) not in _BASE_RUNS:
         cutoff_year, policy = inputs(source, seed, workdir, monkeypatch)
         texts = [(workdir / name).read_bytes() for name in INPUTS]
-        run = outcome(workdir, cutoff_year, policy, monkeypatch, capsys)
+        run = outcome(workdir, cutoff_year, policy)
         _BASE_RUNS[source, seed] = cutoff_year, policy, texts, run
     cutoff_year, policy, texts, run = _BASE_RUNS[source, seed]
     for name, text in zip(INPUTS, texts):
@@ -279,92 +295,141 @@ def base_run(source: str, seed: int, workdir: Path, monkeypatch, capsys):
     return cutoff_year, policy, run
 
 
-@pytest.mark.parametrize("source, seed", SOURCES)
-def test_every_loc_times_three(source, seed, tmp_path, monkeypatch, capsys):
-    base, scaled = tmp_path / "base", tmp_path / "scaled"
+def workdirs(root: Path, name: str) -> tuple[Path, Path]:
+    """A ``base`` directory and one called ``name`` for the second run, under ``root``."""
+    base, other = root / "base", root / name
     base.mkdir()
-    scaled.mkdir()
-    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
-    shutil.copy(base / "metadata.jsonl", scaled / "metadata.jsonl")
+    other.mkdir()
+    return base, other
+
+
+# Each check below writes the inputs in ``base``, changed in its one way,
+# into ``other``, runs ``analyze`` there, and asserts its relation to
+# ``run``, the outcome on ``base``. Those that change facts lines return
+# how many they changed.
+
+
+def check_scale(base: Path, other: Path, cutoff_year: int, policy: str, run) -> int:
+    shutil.copy(base / "metadata.jsonl", other / "metadata.jsonl")
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
     scaled_text, count = scaled_facts(facts)
-    assert count > 0
-    (scaled / "facts.csv").write_bytes(scaled_text.encode("utf-8"))
+    (other / "facts.csv").write_bytes(scaled_text.encode("utf-8"))
 
     code, stderr, doc, rows = parsed(run)
-    code3, stderr3, doc3, rows3 = analyze(scaled, cutoff_year, policy, monkeypatch, capsys)
+    code3, stderr3, doc3, rows3 = analyze(other, cutoff_year, policy)
 
     assert (code3, stderr3, doc3["validation"]) == (code, stderr, doc["validation"])
     sections = {section["metric"]: section for section in doc["metrics"]}
     sections3 = {section["metric"]: section for section in doc3["metrics"]}
-    assert list(sections3) == list(sections) == ["CS", "CGa", "CGi"]
-    assert sections3["CGi"] == sections["CGi"]
-    for metric in ("CS", "CGa"):
-        assert sections3[metric] == scaled_section(sections[metric]), metric
+    assert list(sections3) == list(sections)
+    for metric, section in sections.items():
+        expected = section if metric == "CGi" else scaled_section(section)
+        assert sections3[metric] == expected, metric
     assert rows3 == [
         {**row, "cs": times_scale(row["cs"]), "cga": times_scale(row["cga"])} for row in rows
     ]
+    return count
 
 
-@pytest.mark.parametrize("source, seed", SOURCES)
-def test_each_full_row_split_into_its_halves(source, seed, tmp_path, monkeypatch, capsys):
-    base, split = tmp_path / "base", tmp_path / "split"
-    base.mkdir()
-    split.mkdir()
-    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
-    shutil.copy(base / "metadata.jsonl", split / "metadata.jsonl")
+def check_split(base: Path, other: Path, cutoff_year: int, policy: str, run, rng) -> int:
+    shutil.copy(base / "metadata.jsonl", other / "metadata.jsonl")
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
-    split_text, moved, count = split_facts(facts, random.Random(f"{source}-{seed}"))
-    assert count > 0
-    (split / "facts.csv").write_bytes(split_text.encode("utf-8"))
+    split_text, moved, count = split_facts(facts, rng)
+    (other / "facts.csv").write_bytes(split_text.encode("utf-8"))
 
     code, stderr, files = run
-    code2, stderr2, files2 = outcome(split, cutoff_year, policy, monkeypatch, capsys)
+    code2, stderr2, files2 = outcome(other, cutoff_year, policy)
 
     renumbered = re.sub(
         r"facts\.csv:(\d+):", lambda m: f"facts.csv:{moved[int(m.group(1))]}:", stderr
     )
     assert (code2, stderr2, files2) == (code, renumbered, files)
+    return count
 
 
-@pytest.mark.parametrize("source, seed", SOURCES)
-def test_each_first_cell_quoted(source, seed, tmp_path, monkeypatch, capsys):
-    base, quoted = tmp_path / "base", tmp_path / "quoted"
-    base.mkdir()
-    quoted.mkdir()
-    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
-    shutil.copy(base / "metadata.jsonl", quoted / "metadata.jsonl")
+def check_quote(base: Path, other: Path, cutoff_year: int, policy: str, run) -> int:
+    shutil.copy(base / "metadata.jsonl", other / "metadata.jsonl")
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
     quoted_text, count = quoted_facts(facts)
-    assert count > 0
-    (quoted / "facts.csv").write_bytes(quoted_text.encode("utf-8"))
+    (other / "facts.csv").write_bytes(quoted_text.encode("utf-8"))
 
-    assert outcome(quoted, cutoff_year, policy, monkeypatch, capsys) == run
+    assert outcome(other, cutoff_year, policy) == run
+    return count
 
 
-@pytest.mark.parametrize("source, seed", SOURCES)
-def test_one_more_project_with_metadata_only(source, seed, tmp_path, monkeypatch, capsys):
-    base, extra = tmp_path / "base", tmp_path / "extra"
-    base.mkdir()
-    extra.mkdir()
-    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
-    shutil.copy(base / "facts.csv", extra / "facts.csv")
+def check_metadata_only(base: Path, other: Path, cutoff_year: int, policy: str, run) -> None:
+    shutil.copy(base / "facts.csv", other / "facts.csv")
     metadata = (base / "metadata.jsonl").read_bytes().decode("utf-8")
     name = "metadata-only"
-    assert metadata.endswith("\n") and name not in metadata
-    assert name not in (base / "facts.csv").read_bytes().decode("utf-8")
+    assert metadata.endswith("\n") or not metadata
+    assert name not in metadata and name not in (base / "facts.csv").read_bytes().decode("utf-8")
     line = json.dumps({"name": name, "enlistments": [], "tags": []})
-    (extra / "metadata.jsonl").write_bytes((metadata + line + "\n").encode("utf-8"))
+    (other / "metadata.jsonl").write_bytes((metadata + line + "\n").encode("utf-8"))
 
     code, stderr, (report, aggregates) = run
-    code2, stderr2, (report2, aggregates2) = outcome(
-        extra, cutoff_year, policy, monkeypatch, capsys
-    )
+    code2, stderr2, (report2, aggregates2) = outcome(other, cutoff_year, policy)
 
     doc = json.loads(report)
     for field in ("projects_collected", "excluded_missing_data"):
         doc["validation"][field] += 1
     assert (code2, stderr2, json.loads(report2), aggregates2) == (code, stderr, doc, aggregates)
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_every_loc_times_three(source, seed, tmp_path, monkeypatch):
+    base, scaled = workdirs(tmp_path, "scaled")
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch)
+    assert [section["metric"] for section in parsed(run)[2]["metrics"]] == ["CS", "CGa", "CGi"]
+    assert check_scale(base, scaled, cutoff_year, policy, run) > 0
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_each_full_row_split_into_its_halves(source, seed, tmp_path, monkeypatch):
+    base, split = workdirs(tmp_path, "split")
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch)
+    rng = random.Random(f"{source}-{seed}")
+    assert check_split(base, split, cutoff_year, policy, run, rng) > 0
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_each_first_cell_quoted(source, seed, tmp_path, monkeypatch):
+    base, quoted = workdirs(tmp_path, "quoted")
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch)
+    assert check_quote(base, quoted, cutoff_year, policy, run) > 0
+
+
+@pytest.mark.parametrize("source, seed", SOURCES)
+def test_one_more_project_with_metadata_only(source, seed, tmp_path, monkeypatch):
+    base, extra = workdirs(tmp_path, "extra")
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch)
+    assert (base / "metadata.jsonl").read_bytes().endswith(b"\n")
+    check_metadata_only(base, extra, cutoff_year, policy, run)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=test_pipeline_oracle.inputs(),
+    policy=st.sampled_from(GROWTHLESS_POLICIES),
+    seed=st.integers(0, 2**32),
+)
+def test_relations_on_oracle_inputs(data, policy, seed):
+    # Interleaved and shuffled rows, split and repeated halves, few projects.
+    meta_lines, rows, cutoff_year = data
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        base.mkdir()
+        test_pipeline_oracle.write_inputs(base, meta_lines, rows)
+        run = outcome(base, cutoff_year, policy)
+        checks = {
+            "scaled": check_scale,
+            "split": functools.partial(check_split, rng=random.Random(seed)),
+            "quoted": check_quote,
+            "extra": check_metadata_only,
+        }
+        for name, check in checks.items():
+            other = Path(tmp) / name
+            other.mkdir()
+            check(base, other, cutoff_year, policy, run)
 
 
 def with_attainers(doc: dict, change) -> dict:
@@ -379,11 +444,9 @@ def with_attainers(doc: dict, change) -> dict:
 
 
 @pytest.mark.parametrize("source, seed", SOURCES)
-def test_every_year_shifted(source, seed, tmp_path, monkeypatch, capsys):
-    base, shifted = tmp_path / "base", tmp_path / "shifted"
-    base.mkdir()
-    shifted.mkdir()
-    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
+def test_every_year_shifted(source, seed, tmp_path, monkeypatch):
+    base, shifted = workdirs(tmp_path, "shifted")
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch)
     shutil.copy(base / "metadata.jsonl", shifted / "metadata.jsonl")
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
     shifted_text, count = shifted_facts(facts)
@@ -391,9 +454,7 @@ def test_every_year_shifted(source, seed, tmp_path, monkeypatch, capsys):
     (shifted / "facts.csv").write_bytes(shifted_text.encode("utf-8"))
 
     code, stderr, doc, rows = parsed(run)
-    code2, stderr2, doc2, rows2 = analyze(
-        shifted, cutoff_year + SHIFT, policy, monkeypatch, capsys
-    )
+    code2, stderr2, doc2, rows2 = analyze(shifted, cutoff_year + SHIFT, policy)
 
     moved = re.sub(
         r"(record for .* at )(\d+)(-\d\d; project rejected)$",
@@ -408,11 +469,9 @@ def test_every_year_shifted(source, seed, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("source, seed", SOURCES)
-def test_every_name_prefixed(source, seed, tmp_path, monkeypatch, capsys):
-    base, renamed = tmp_path / "base", tmp_path / "renamed"
-    base.mkdir()
-    renamed.mkdir()
-    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
+def test_every_name_prefixed(source, seed, tmp_path, monkeypatch):
+    base, renamed = workdirs(tmp_path, "renamed")
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch)
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
     renamed_text, count = renamed_facts(facts)
     assert count > 0
@@ -421,7 +480,7 @@ def test_every_name_prefixed(source, seed, tmp_path, monkeypatch, capsys):
     (renamed / "metadata.jsonl").write_bytes(renamed_metadata(metadata).encode("utf-8"))
 
     code, stderr, doc, rows = parsed(run)
-    code2, stderr2, doc2, rows2 = analyze(renamed, cutoff_year, policy, monkeypatch, capsys)
+    code2, stderr2, doc2, rows2 = analyze(renamed, cutoff_year, policy)
 
     prefixed = re.sub(
         r"(duplicate project name |duplicate (?:size|activity) record for )'([^'\\]*)'",
@@ -434,11 +493,9 @@ def test_every_name_prefixed(source, seed, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("source, seed", SOURCES)
-def test_one_more_project_across_new_year(source, seed, tmp_path, monkeypatch, capsys):
-    base, extra = tmp_path / "base", tmp_path / "extra"
-    base.mkdir()
-    extra.mkdir()
-    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch, capsys)
+def test_one_more_project_across_new_year(source, seed, tmp_path, monkeypatch):
+    base, extra = workdirs(tmp_path, "extra")
+    cutoff_year, policy, run = base_run(source, seed, base, monkeypatch)
     name = "new-year"
     metadata = (base / "metadata.jsonl").read_bytes().decode("utf-8")
     facts = (base / "facts.csv").read_bytes().decode("utf-8")
@@ -450,7 +507,7 @@ def test_one_more_project_across_new_year(source, seed, tmp_path, monkeypatch, c
     (extra / "facts.csv").write_bytes((facts + months).encode("utf-8"))
 
     code, stderr, doc, rows = parsed(run)
-    code2, stderr2, doc2, rows2 = analyze(extra, cutoff_year, policy, monkeypatch, capsys)
+    code2, stderr2, doc2, rows2 = analyze(extra, cutoff_year, policy)
 
     validation = doc["validation"]
     for field, more in [

@@ -62,13 +62,7 @@ def analyze(settings: dict) -> tuple[int, str, bytes, bytes]:
     for metric in stats.Metric:
         observations, undefined = cli._observations(metric, aggregates, cutoff_year)
         if observations:
-            sections.append(
-                report.MetricSection(
-                    stats.summarize(observations, metric),
-                    stats.boxplot_data([obs.value for obs in observations]),
-                    undefined,
-                )
-            )
+            sections.append(report.MetricSection(stats.summarize(observations, metric), undefined))
     document = report.render_json(report.build_report(validation, sections, settings))
     with tempfile.TemporaryDirectory() as tmp:
         metrics.write_aggregates_csv(aggregates, Path(tmp) / "yearly_aggregates.csv")
@@ -169,19 +163,24 @@ def inputs(draw):
     return draw(st.permutations(meta_lines)), rows, cutoff_year
 
 
+def write_inputs(root: Path, meta_lines: list[str], rows: list[list]) -> None:
+    """Write an ``inputs()`` draw as ``metadata.jsonl`` and ``facts.csv`` in ``root``."""
+    (root / "metadata.jsonl").write_text(
+        "".join(line + "\n" for line in meta_lines), encoding="utf-8"
+    )
+    with (root / "facts.csv").open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(FACTS_HEADER)
+        writer.writerows(rows)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=inputs(), policy=st.sampled_from(GROWTHLESS_POLICIES))
 def test_analyze_matches_oracle_chain(data, policy):
     meta_lines, rows, cutoff_year = data
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "metadata.jsonl").write_text(
-            "".join(line + "\n" for line in meta_lines), encoding="utf-8"
-        )
-        with (root / "facts.csv").open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(FACTS_HEADER)
-            writer.writerows(rows)
+        write_inputs(root, meta_lines, rows)
         result, expected = compare(
             root / "metadata.jsonl", root / "facts.csv", cutoff_year, policy, root / "out"
         )

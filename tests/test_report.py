@@ -34,8 +34,7 @@ def sample_report():
     values = [1.0, 1.0, 1.0, 1.0, 100.0]
     observations = [Observation(f"p{i}", 2012, v) for i, v in enumerate(values)]
     summary = summarize(observations, Metric.CS)
-    box = boxplot_data(values)
-    return build_report(VALIDATION, [MetricSection(summary, box, 2)], CONFIG)
+    return build_report(VALIDATION, [MetricSection(summary, 2)], CONFIG)
 
 
 class TestBuildReport:
@@ -116,9 +115,7 @@ class TestAttainersFormatting:
             Observation(name, 2012, float(v)) for name, v in zip(names, values)
         ]
         summary = summarize(observations, Metric.CGA)
-        return build_report(
-            VALIDATION, [MetricSection(summary, boxplot_data(values))], CONFIG
-        )
+        return build_report(VALIDATION, [MetricSection(summary)], CONFIG)
 
     def test_two_attainers_joined_with_and(self):
         # even count with distinct middles: both bracketing projects named
@@ -128,9 +125,7 @@ class TestAttainersFormatting:
     def test_many_attainers_collapse_to_count(self):
         observations = [Observation(f"p{i}", 2012, 5.0) for i in range(10)]
         summary = summarize(observations, Metric.CGA)
-        report = build_report(
-            VALIDATION, [MetricSection(summary, boxplot_data([5.0] * 10))], CONFIG
-        )
+        report = build_report(VALIDATION, [MetricSection(summary)], CONFIG)
         assert "'p0' (2012) and 9 others" in render_text(report)
 
 

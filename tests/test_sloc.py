@@ -321,6 +321,11 @@ class TestRegistry:
             '{"languages": [{"name": "x", "extensions": [".x"], "line_comments": ["#\\n"]}]}',
             '{"languages": [{"name": "x", "extensions": [".x"], "string_delimiters": ["\\r\\""]}]}',
             '{"languages": [{"name": "x", "extensions": [".x"], "block_comments": [["/*", "*\\n/"]]}]}',
+            # extensions no file name has, since a suffix runs from the last dot
+            '{"languages": [{"name": "x", "extensions": ["foo"]}]}',
+            '{"languages": [{"name": "x", "extensions": ["."]}]}',
+            '{"languages": [{"name": "x", "extensions": [".tar.gz"]}]}',
+            '{"languages": [{"name": "x", "extensions": [".a/b"]}]}',
         ):
             config.write_text(document, encoding="utf-8")
             with pytest.raises(ValueError, match=re.escape(str(config))):

@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baserates.stats import (
     Metric,
@@ -19,6 +21,20 @@ from baserates.stats import (
     boxplot_data,
     summarize,
 )
+
+
+@st.composite
+def samples(draw):
+    """Non-empty samples with ties, ints up to 2**55 and neighbours 1-2 ulps apart."""
+    values = draw(
+        st.lists(st.integers(-(2**55), 2**55) | st.floats(-1e15, 1e15), min_size=1, max_size=30)
+    )
+    for value in draw(st.lists(st.sampled_from(values), max_size=10)):
+        near = float(value)
+        for _ in range(draw(st.integers(0, 2))):  # 0: a tie
+            near = math.nextafter(near, math.inf)
+        values.append(near)
+    return draw(st.permutations(values))
 
 
 def observations(values, project="p"):
@@ -116,6 +132,16 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([], Metric.CGI)
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples())
+    def test_boxplot_is_that_of_the_plain_values(self, values):
+        obs = observations(values)
+        summary = summarize(obs, Metric.CGA)
+        box = summary.boxplot
+        assert box == boxplot_data([o.value for o in obs])
+        assert (summary.median, summary.iqr) == (box.median, box.q3 - box.q1)
+        assert summary.outliers == len(box.outlier_values)
 
     def test_outliers_match_brute_force_oracle(self):
         rng = random.Random(77)

@@ -15,9 +15,9 @@ from conftest import SLOC_DIR
 
 ENLISTMENT = Enlistment("svn", "http://x/trunk")
 AFTER = AfterCutoff(1, 12, 1)
-SUMMARY = MetricSummary(Metric.CS, 10.0, (("p", 2012),), 0.0, 1, 0)
 BOX = BoxplotData(1.0, 2.0, 3.0, 0.5, 3.5, (9.0,))
-SECTION = MetricSection(SUMMARY, BOX, 1)
+SUMMARY = MetricSummary(Metric.CS, 10.0, (("p", 2012),), 0.0, 1, 0, BOX)
+SECTION = MetricSection(SUMMARY, 1)
 COUNTS = LineCounts(1, 2, 3)
 FILE = FileCount("a.c", "c", COUNTS)
 DIAGNOSTIC = RecordDiagnostic("m.jsonl", 3, "bad")
@@ -56,9 +56,10 @@ IMMUTABLE = [
     ),
     (
         SUMMARY,
-        "metric median median_attainers iqr observations outliers",
+        "metric median median_attainers iqr observations outliers boxplot",
         "MetricSummary(metric=<Metric.CS: 'CS'>, median=10.0, median_attainers=(('p', 2012),),"
-        " iqr=0.0, observations=1, outliers=0)",
+        " iqr=0.0, observations=1, outliers=0, boxplot=BoxplotData(q1=1.0, median=2.0, q3=3.0,"
+        " whisker_low=0.5, whisker_high=3.5, outlier_values=(9.0,)))",
     ),
     (
         BOX,
@@ -68,11 +69,11 @@ IMMUTABLE = [
     ),
     (
         SECTION,
-        "summary boxplot undefined_excluded",
+        "summary undefined_excluded",
         "MetricSection(summary=MetricSummary(metric=<Metric.CS: 'CS'>, median=10.0,"
-        " median_attainers=(('p', 2012),), iqr=0.0, observations=1, outliers=0),"
+        " median_attainers=(('p', 2012),), iqr=0.0, observations=1, outliers=0,"
         " boxplot=BoxplotData(q1=1.0, median=2.0, q3=3.0, whisker_low=0.5, whisker_high=3.5,"
-        " outlier_values=(9.0,)), undefined_excluded=1)",
+        " outlier_values=(9.0,))), undefined_excluded=1)",
     ),
     (
         LanguageSyntax("c", (".c",), ("//",), (("/*", "*/"),), ('"',)),
