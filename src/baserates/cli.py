@@ -10,6 +10,7 @@ import contextlib
 import csv
 import gc
 import json
+import os
 import sys
 from itertools import chain, islice
 from pathlib import Path
@@ -184,6 +185,15 @@ def _cmd_analyze(args) -> int:
     for key in ("metadata", "facts", "out"):
         if not isinstance(settings[key], str):
             return _fail(EXIT_USAGE, f"config key {key!r} must be a string")
+        # open() and mkdir() raise ValueError, not OSError, for either kind of string.
+        try:
+            usable = b"\0" not in os.fsencode(settings[key])
+        except UnicodeEncodeError:  # a lone surrogate such as "\ud800"
+            usable = False
+        if not usable:
+            return _fail(
+                EXIT_USAGE, f"config key {key!r} must be a path without NUL or unencodable characters"
+            )
     if not isinstance(settings["svg"], bool):
         return _fail(EXIT_USAGE, "config key 'svg' must be true or false")
     policy = settings["growthless_year_policy"]

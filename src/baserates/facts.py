@@ -114,7 +114,10 @@ def join_facts(
         if month is None:
             duplicate("activity", key)
         elif month is not False:
-            by_project.setdefault(key.project, []).append(month)
+            months = by_project.get(key.project)
+            if months is None:  # no setdefault: it builds a list for every month
+                months = by_project[key.project] = []
+            months.append(month)
     joined: list[SizeRecord] = []
     for project in sorted(by_project):
         if project not in rejected:

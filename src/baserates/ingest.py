@@ -199,7 +199,7 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
     records_read = 0
     path = Path(path)
     limit = csv.field_size_limit()  # a line no longer than this holds no longer field
-    new = tuple.__new__
+    new, plain_row = tuple.__new__, _PLAIN_ROW.fullmatch
     with _open_utf8(path, newline="") as handle:
         reader, lineno = csv.reader(handle), 1
         try:
@@ -211,7 +211,7 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
             lineno = reader.line_num  # the header's last line
             for line in handle:
                 lineno += 1
-                match = _PLAIN_ROW.fullmatch(line) if len(line) <= limit else None
+                match = plain_row(line) if len(line) <= limit else None
                 if match is not None:
                     # The pattern and this test hold every check of a cell, and
                     # csv.reader gives a row with neither half its diagnostic.

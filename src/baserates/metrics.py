@@ -34,7 +34,10 @@ def aggregate_all(
     unless the previous month had zero lines. Per project-year, cs is the
     maximum monthly line count, cga the sum of the growth differences,
     cgi the product of the defined ratios, computed exactly and rounded
-    once, and age the distance to the project's first year.
+    once, and age the distance to the project's first year. A run of
+    consecutive defined ratios telescopes, so the exact fraction gains
+    one factor per run: its last loc over the loc before its first month.
+    A gap or a zero loc ends a run; January's starts from December's loc.
 
     Years without any growth month distinguish "no evidence" from "no
     change": under the "undefined" policy cga and cgi are None, under
@@ -56,28 +59,39 @@ def aggregate_all(
     for (name, next_year, month), loc in chain(sorted(facts, key=itemgetter(0)), [_END]):
         if next_year != year or name != project:
             if present:
+                if first:  # the year's last run ends at its last month
+                    num *= prev_loc
+                    den *= first
                 aggregates.append(new(YearlyAggregate, (
-                    project, year, cs, cga if growth_months else no_cga,
-                    num / den if ratios else no_cgi, year - start_year, present,
+                    project, year, cs, cga if present > starts else no_cga,
+                    num / den if runs else no_cgi, year - start_year, present,
                 )))
             if name is None:  # the end marker
                 break
             if name != project:  # the first year of a project: no month precedes it
                 project, start_year, prev_index = name, next_year, None
-            year, cs, cga, present, growth_months = next_year, 0, 0, 0, 0
-            ratios, num, den = 0, 1, 1  # the defined ratios: their count, num / den their product
-        index = year * 12 + month
-        if index == prev_index:
-            raise ValueError(f"duplicate month {(year, month)} for project {project!r}")
-        if loc < 0:
-            raise ValueError(f"negative loc {loc} for project {project!r} at {year}-{month:02d}")
-        if index - 1 == prev_index:
-            growth_months += 1
+            year, base, cs, cga, present, starts = next_year, next_year * 12, 0, 0, 0, 0
+            runs, num, den, first = 0, 1, 1, 0  # first: the loc before the open run, or 0
+        index = base + month
+        if index - 1 == prev_index and loc >= 0:
             cga += loc - prev_loc
-            if prev_loc != 0:
-                ratios += 1
-                num *= loc
-                den *= prev_loc
+            if prev_loc:
+                if not first:  # a run of defined ratios starts here
+                    first = prev_loc
+                    runs += 1
+            elif first:  # the run ended at the zero month before this one
+                num = 0
+                first = 0
+        else:
+            if index == prev_index:
+                raise ValueError(f"duplicate month {(year, month)} for project {project!r}")
+            if loc < 0:
+                raise ValueError(f"negative loc {loc} for project {project!r} at {year}-{month:02d}")
+            starts += 1  # a month without its previous one; every other month grows
+            if first:  # a gap ends the run at the month before it
+                num *= prev_loc
+                den *= first
+                first = 0
         cs = loc if loc > cs else cs
         present += 1
         prev_index, prev_loc = index, loc

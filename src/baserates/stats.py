@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 TUKEY_FENCE_FACTOR = 1.5
@@ -90,7 +91,7 @@ def summarize(observations: Sequence[Observation], metric: Metric) -> MetricSumm
     """
     if not observations:
         raise ValueError(f"no defined observations for {metric.value}")
-    xs = sorted(float(obs.value) for obs in observations)
+    xs = sorted(map(float, map(itemgetter(2), observations)))  # each one's value
     box = _boxplot(xs)
     # The one or two order statistics the median lies between: a value equal
     # to the median can only be one of them.

@@ -513,6 +513,29 @@ class TestAnalyze:
         assert repr(key) in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["a\0b", "a\ud800b"], ids=["nul", "lone-surrogate"])
+    @pytest.mark.parametrize("key", ["metadata", "facts", "out"])
+    def test_unusable_path_in_config_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # open() and mkdir() raise ValueError on these; the check comes before any file is opened.
+        monkeypatch.setattr(cli, "run_analyze", lambda config: pytest.fail("inputs opened"))
+        copy_corpus(tmp_path)
+        config = {
+            "metadata": str(tmp_path / "metadata.jsonl"),
+            "facts": str(tmp_path / "facts.csv"),
+            "cutoff_year": 2012,
+            "out": str(tmp_path / "out"),
+            key: value,
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["analyze", "--config", str(config_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"baserates: error: config key {key!r} must be a path without NUL "
+            "or unencodable characters\n"
+        )
+
     @pytest.mark.parametrize("value", ["{}", "0", '""', "false"])
     @pytest.mark.parametrize("key", ["enlistments", "tags"])
     def test_falsy_non_list_metadata_is_malformed(self, tmp_path, capsys, key, value):

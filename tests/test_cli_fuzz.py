@@ -4,8 +4,10 @@
 dropped rows, a huge field, a cell of many digits, a BOM, NULs and lines
 that are not JSON or not facts, and sometimes with a ``--config`` file;
 a metadata line and the config may hold many digits or bytes that are
-not UTF-8. ``count`` runs with a registry mutated byte by byte or node by
-node. Each test takes a few seconds.
+not UTF-8. Some runs leave a path flag off and give that key in the
+config as any text, NULs and lone surrogates included. ``count`` runs
+with a registry mutated byte by byte or node by node. Each test takes a
+few seconds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from baserates.cli import EXIT_EMPTY, EXIT_IO, EXIT_OK, main
+from baserates.cli import EXIT_EMPTY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from conftest import CORPUS, SLOC_DIR
 
 FUZZ = settings(
@@ -60,6 +62,11 @@ CONFIGS = st.none() | st.builds(
     st.sampled_from([b"cutoff_year", b"x"]),
     EDGE_VALUES,
 )
+
+# A path setting that only the config gives: its key, and text for the last
+# component of its path, so that it stays inside the run's directory.
+PATH_KEYS = st.none() | st.sampled_from(["metadata", "facts", "out"])
+PATH_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
 
 REGISTRY = {
     "languages": [
@@ -164,25 +171,38 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     facts=mutated((CORPUS / "facts.csv").read_bytes()),
     cutoff_year=st.sampled_from(["2012", "2011", "2000"]),
     config=CONFIGS,
+    path_key=PATH_KEYS,
+    path_text=PATH_TEXT,
 )
-def test_analyze_on_mutated_corpus_exits_cleanly(metadata, facts, cutoff_year, config):
+def test_analyze_on_mutated_corpus_exits_cleanly(
+    metadata, facts, cutoff_year, config, path_key, path_text
+):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "metadata.jsonl").write_bytes(metadata)
         (root / "facts.csv").write_bytes(facts)
+        paths = {
+            "metadata": str(root / "metadata.jsonl"),
+            "facts": str(root / "facts.csv"),
+            "out": str(root / "out"),
+        }
+        if path_key is not None:
+            path = json.dumps(str(root / "p") + path_text.replace("/", "")).encode()
+            entry = b'"%s": %s' % (path_key.encode(), path)
+            config = b"{%s}" % entry if config is None else config[:-1] + b", %s}" % entry
+            del paths[path_key]  # a flag would win over the config
         config_args = []
         if config is not None:
             (root / "run.json").write_bytes(config)
             config_args = ["--config", str(root / "run.json")]
         code, err = run_main([
             "analyze",
-            "--metadata", str(root / "metadata.jsonl"),
-            "--facts", str(root / "facts.csv"),
+            *(arg for key, path in paths.items() for arg in (f"--{key}", path)),
             "--cutoff-year", cutoff_year,
-            "--out", str(root / "out"),
             *config_args,
         ])
-    assert code in (EXIT_OK, EXIT_IO, EXIT_EMPTY), err
+    allowed = (EXIT_OK, EXIT_IO, EXIT_EMPTY) + ((EXIT_USAGE,) if path_key else ())
+    assert code in allowed, err
     assert "Traceback" not in err
 
 

@@ -133,6 +133,16 @@ class TestJoinFacts:
         assert [f.key.project for f in joined] == ["q"]
         assert len(diagnostics) == 1 and "p" in diagnostics[0]
 
+    def test_one_size_record_passed_twice_is_a_duplicate(self):
+        # An index that tested `setdefault(key, record) is not record` would miss it.
+        record = size_record("p", 2010, 1)
+        joined, diagnostics = join_facts(
+            [record, record, size_record("q", 2010, 1)],
+            [activity_record("p", 2010, 1), activity_record("q", 2010, 1)],
+        )
+        assert [f.key.project for f in joined] == ["q"]
+        assert diagnostics == ["duplicate size record for 'p' at 2010-01; project rejected"]
+
     def test_idempotent_when_inputs_align(self):
         size = [size_record("p", 2010, m) for m in (1, 2, 3)]
         activity = [activity_record("p", 2010, m) for m in (1, 2, 3)]

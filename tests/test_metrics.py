@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -52,7 +54,7 @@ class TestDeriveMonthlyGrowth:
         assert aggregate_all([]) == []
 
     def test_rejects_duplicate_months(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate month \(2012, 1\) for project 'p'$"):
             aggregate_all(
                 [
                     make_month("p", 2012, 1, 1),
@@ -60,6 +62,11 @@ class TestDeriveMonthlyGrowth:
                     make_month("p", 2012, 1, 2),
                 ]
             )
+
+    def test_duplicate_month_named_before_its_negative_loc(self):
+        facts = [make_month("p", 2012, 1, 1), make_month("p", 2012, 1, -5)]
+        with pytest.raises(ValueError, match=r"^duplicate month \(2012, 1\) for project 'p'$"):
+            aggregate_all(facts)
 
     @pytest.mark.parametrize(
         "locs", [[10, -5], [10, -5, 10, 10, 10, 10, 10, 10]], ids=["product", "log-space"]
@@ -186,6 +193,31 @@ class TestTelescoping:
             facts, locs = self.full_year(rng)
             by_year = {a.year: a for a in aggregate_all(facts)}
             assert by_year[2012].cgi == locs[12] / locs[0]
+
+    # December's loc opens the year's first run of ratios and March's gap ends
+    # it; a zero loc after a gap leaves the next ratio undefined, and one
+    # inside a run makes the product 0 whatever follows.
+    @pytest.mark.parametrize(
+        "zero_month", [None, 4, 6], ids=["no-zero", "zero-after-gap", "zero-in-run"]
+    )
+    def test_cgi_over_split_runs_is_the_fraction_product(self, zero_month):
+        months = [(2011, 12), *((2012, m) for m in (1, 2, 4, 5, 6, 7, 8, 10, 11))]
+        rng = random.Random(303)
+        for _ in range(100):
+            locs = {month: rng.randint(1, 2**53) for month in months}
+            if zero_month is not None:
+                locs[2012, zero_month] = 0
+            ratios = [
+                Fraction(locs[2012, m], locs[prev])
+                for m in range(1, 13)
+                if (2012, m) in locs
+                for prev in [(2012, m - 1) if m > 1 else (2011, 12)]
+                if locs.get(prev)
+            ]
+            facts = [make_month("p", year, month, loc) for (year, month), loc in locs.items()]
+            by_year = {a.year: a for a in aggregate_all(facts)}
+            assert by_year[2012].cgi == float(prod(ratios))
+            assert (by_year[2012].cgi == 0.0) == (zero_month == 6)
 
 
 class TestAggregateAll:

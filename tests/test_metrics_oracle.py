@@ -164,10 +164,11 @@ def outcome(aggregate, facts, policy):
         return ValueError
 
 
-# Zero lines one month in five, so ratios go undefined and products
-# collapse to zero; otherwise sizes of up to 2, 4, 6 or 8 digits.
-LOCS = st.integers(0, 4).flatmap(
-    lambda digits: st.just(0) if digits == 0 else st.integers(1, 100 ** digits)
+# Zero lines one month in six, so ratios go undefined and products
+# collapse to zero; otherwise sizes of up to 2, 4, 6 or 8 digits, or up to
+# 2**53, the largest size read_facts accepts.
+LOCS = st.sampled_from([0, 100, 100**2, 100**3, 100**4, 2**53]).flatmap(
+    lambda top: st.integers(1, top) if top else st.just(0)
 )
 # Mostly consecutive months, so years hold runs of more than six ratios;
 # sometimes a gap of a month, or of about a year across December.
