@@ -13,7 +13,6 @@ import sys
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from .facts import MIN_YEAR, Enlistment, FactKey, ProjectMeta, SizeRecord
@@ -42,15 +41,12 @@ class RecordDiagnostic(NamedTuple):
     reason: str
 
 
-class IngestReport(SimpleNamespace):
-    """What one reader counted; the reader fills it in before returning it."""
+class IngestReport(NamedTuple):
+    """What one reader counted."""
 
-    def __init__(self, projects_read=0, records_read=0, malformed=None):
-        super().__init__(
-            projects_read=projects_read,
-            records_read=records_read,
-            malformed=[] if malformed is None else malformed,
-        )
+    projects_read: int
+    records_read: int
+    malformed: list[RecordDiagnostic]
 
     @property
     def malformed_records(self) -> int:
@@ -81,8 +77,9 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
     The JSON scanner alone decodes a line that it takes whole, up to JSON
     whitespace; the others go through ``json.loads`` for its diagnostics.
     """
-    report = IngestReport()
     metas: list[ProjectMeta] = []
+    malformed: list[RecordDiagnostic] = []
+    records_read = 0
     seen: set[str] = set()
     path = Path(path)
     scan = json.JSONDecoder().scan_once  # json.loads' own scanner, without its wrapper
@@ -90,7 +87,7 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():  # iteration yields no empty line
                 continue
-            report.records_read += 1
+            records_read += 1
             try:
                 doc, end = scan(line, 0)
                 whole = not line[end:].strip(" \t\n\r")  # str.isspace accepts more
@@ -111,12 +108,11 @@ def read_metadata(path) -> tuple[list[ProjectMeta], IngestReport]:
                 if reason is None and meta.name in seen:
                     reason = f"duplicate project name {meta.name!r}"
             if reason is not None:
-                report.malformed.append(RecordDiagnostic(str(path), lineno, reason))
+                malformed.append(RecordDiagnostic(str(path), lineno, reason))
                 continue
             seen.add(meta.name)
             metas.append(meta)
-    report.projects_read = len(metas)
-    return metas, report
+    return metas, IngestReport(len(metas), records_read, malformed)
 
 
 def _parse_meta(doc) -> tuple[ProjectMeta | None, str | None]:
@@ -199,7 +195,7 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
     records_read = 0
     path = Path(path)
     limit = csv.field_size_limit()  # a line no longer than this holds no longer field
-    new, plain_row = tuple.__new__, _PLAIN_ROW.fullmatch
+    new = tuple.__new__
     with _open_utf8(path, newline="") as handle:
         reader, lineno = csv.reader(handle), 1
         try:
@@ -211,7 +207,7 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
             lineno = reader.line_num  # the header's last line
             for line in handle:
                 lineno += 1
-                match = plain_row(line) if len(line) <= limit else None
+                match = _PLAIN_ROW.fullmatch(line) if len(line) <= limit else None
                 if match is not None:
                     # The pattern and this test hold every check of a cell, and
                     # csv.reader gives a row with neither half its diagnostic.
@@ -239,8 +235,7 @@ def read_facts(path) -> tuple[list[SizeRecord], list[FactKey], IngestReport]:
         except csv.Error as exc:
             line_num = lineno - 1 + reader.line_num
             raise IngestError(f"{path}:{line_num}: unreadable CSV ({exc})") from None
-    report = IngestReport(projects_read=len(names), records_read=records_read, malformed=malformed)
-    return size, activity, report
+    return size, activity, IngestReport(len(names), records_read, malformed)
 
 
 def _parse_facts_row(row, names, size, activity) -> str | None:

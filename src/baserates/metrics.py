@@ -43,9 +43,9 @@ def aggregate_all(
     change": under the "undefined" policy cga and cgi are None, under
     the "zero" policy they take the identity elements 0 and 1.0.
 
-    The facts may come in any order but a repeated project-month or a
-    negative loc raises ValueError; the aggregates come back sorted by
-    (project, year).
+    The facts may come in any order but a repeated project-month, a
+    negative loc or a loc above 2**53 (the bound ``read_facts`` enforces)
+    raises ValueError; the aggregates come back sorted by (project, year).
     """
     if policy not in GROWTHLESS_POLICIES:
         raise ValueError(f"unknown growthless-year policy {policy!r}")
@@ -59,6 +59,8 @@ def aggregate_all(
     for (name, next_year, month), loc in chain(sorted(facts, key=itemgetter(0)), [_END]):
         if next_year != year or name != project:
             if present:
+                if cs > 2**53:  # every loc of the year is at most cs
+                    raise ValueError(f"loc above 2**53 for project {project!r} in {year}")
                 if first:  # the year's last run ends at its last month
                     num *= prev_loc
                     den *= first

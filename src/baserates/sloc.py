@@ -31,7 +31,6 @@ import stat
 import sys
 from functools import lru_cache
 from pathlib import Path
-from types import SimpleNamespace
 from typing import NamedTuple
 
 # A possessive repeat (Python 3.11+) keeps no backtracking state per escape;
@@ -263,17 +262,14 @@ def _read_and_classify(path, syntax: LanguageSyntax) -> LineCounts:
     return classify_lines(data.decode("utf-8", errors="replace"), syntax)
 
 
-class TreeCount(SimpleNamespace):
+class TreeCount(NamedTuple):
     """Per-file counts plus per-language and overall totals for one tree walk."""
 
-    def __init__(self, files=None, by_language=None, total=LineCounts(), skipped=0, unreadable=None):
-        super().__init__(
-            files=[] if files is None else files,
-            by_language={} if by_language is None else by_language,
-            total=total,
-            skipped=skipped,
-            unreadable=[] if unreadable is None else unreadable,
-        )
+    files: list[FileCount]
+    by_language: dict[str, LineCounts]
+    total: LineCounts
+    skipped: int
+    unreadable: list[str]
 
 
 def count_tree(root, registry) -> TreeCount:
@@ -293,11 +289,13 @@ def count_tree(root, registry) -> TreeCount:
     # Paths stay strings: ``shown + relative`` is how ``Path(root) / relative`` prints.
     sep = "" if top.endswith("/") else "/"
     shown = "" if top == "." else top + sep
-    result = TreeCount()
+    files: list[FileCount] = []
+    unreadable: list[str] = []
+    skipped = 0
     per_language: dict[str, list[LineCounts]] = {}
 
     def skip_directory(exc: OSError) -> None:
-        result.unreadable.append(f"{Path(exc.filename)}: {exc.strerror or exc}")
+        unreadable.append(f"{Path(exc.filename)}: {exc.strerror or exc}")
 
     for dirpath, dirnames, filenames in os.walk(top, onerror=skip_directory):
         dirnames.sort()
@@ -309,17 +307,16 @@ def count_tree(root, registry) -> TreeCount:
             suffix = filename[dot:].lower() if 0 < dot < len(filename) - 1 else ""
             syntax = by_extension.get(suffix)
             if syntax is None:
-                result.skipped += 1
+                skipped += 1
                 continue
             relative = prefix + filename
             try:
                 counts = _read_and_classify(shown + relative, syntax)
             except OSError as exc:
-                result.unreadable.append(f"{shown}{relative}: {exc.strerror or exc}")
+                unreadable.append(f"{shown}{relative}: {exc.strerror or exc}")
                 continue
-            result.files.append(FileCount(relative, syntax.name, counts))
+            files.append(FileCount(relative, syntax.name, counts))
             per_language.setdefault(syntax.name, []).append(counts)
-    result.by_language = {name: sum(counts, LineCounts()) for name, counts in per_language.items()}
-    result.total = sum(result.by_language.values(), LineCounts())
-    return result
-
+    by_language = {name: sum(counts, LineCounts()) for name, counts in per_language.items()}
+    total = sum(by_language.values(), LineCounts())
+    return TreeCount(files, by_language, total, skipped, unreadable)

@@ -74,7 +74,8 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
     """
     size: list[SizeRecord] = []
     activity: list[ActivityRecord] = []
-    report = IngestReport()
+    malformed: list[RecordDiagnostic] = []
+    records_read = 0
     path = Path(path)
     with _open_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -88,14 +89,14 @@ def read_facts(path) -> tuple[list[SizeRecord], list[ActivityRecord], IngestRepo
                 if not any(cell.strip() for cell in row):
                     continue
                 lineno = reader.line_num
-                report.records_read += 1
+                records_read += 1
                 reason = _parse_facts_row(row, size, activity)
                 if reason is not None:
-                    report.malformed.append(RecordDiagnostic(str(path), lineno, reason))
+                    malformed.append(RecordDiagnostic(str(path), lineno, reason))
         except csv.Error as exc:
             raise IngestError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from None
-    report.projects_read = len({r.key.project for records in (size, activity) for r in records})
-    return size, activity, report
+    projects_read = len({r.key.project for records in (size, activity) for r in records})
+    return size, activity, IngestReport(projects_read, records_read, malformed)
 
 
 def _parse_facts_row(row, size, activity) -> str | None:

@@ -29,15 +29,16 @@ from baserates.ingest import IngestReport, RecordDiagnostic, _open_utf8, _parse_
 
 def read_metadata(path):
     """Parse one JSON object per line into project metadata records."""
-    report = IngestReport()
     metas = []
+    malformed = []
+    records_read = 0
     seen = set()
     path = Path(path)
     with _open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():  # iteration yields no empty line
                 continue
-            report.records_read += 1
+            records_read += 1
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -52,12 +53,11 @@ def read_metadata(path):
                 if reason is None and meta.name in seen:
                     reason = f"duplicate project name {meta.name!r}"
             if reason is not None:
-                report.malformed.append(RecordDiagnostic(str(path), lineno, reason))
+                malformed.append(RecordDiagnostic(str(path), lineno, reason))
                 continue
             seen.add(meta.name)
             metas.append(meta)
-    report.projects_read = len(metas)
-    return metas, report
+    return metas, IngestReport(len(metas), records_read, malformed)
 
 
 # JSON's whitespace; whitespace that str.isspace and str.strip accept but

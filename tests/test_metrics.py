@@ -76,6 +76,20 @@ class TestDeriveMonthlyGrowth:
         with pytest.raises(ValueError, match=r"negative loc -5 for project 'p' at 2012-02"):
             aggregate_all(month_run("p", 2012, locs))
 
+    def test_loc_of_2_to_the_53_gives_the_exact_cgi(self):
+        aggregate = aggregate_all(month_run("p", 2012, [3, 2**53]))[0]
+        assert aggregate.cs == 2**53
+        assert aggregate.cgi == float(Fraction(2**53, 3))  # rounded once
+
+    @pytest.mark.parametrize("loc", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    @pytest.mark.parametrize("first", [False, True], ids=["growth", "first-month"])
+    def test_rejects_loc_above_2_to_the_53(self, loc, first):
+        # 10**400 used to end in OverflowError from the exact CGi's division.
+        facts = month_run("p", 2012, [loc, 1] if first else [1, loc])
+        facts.append(make_month("q", 2013, 1, 5))  # the year closes before the end marker
+        with pytest.raises(ValueError, match=r"^loc above 2\*\*53 for project 'p' in 2012$"):
+            aggregate_all(facts)
+
     def test_output_never_longer_than_run_minus_one(self):
         # With loc equal to the month number every growth month adds 1 to cga,
         # so cga counts the growth months.

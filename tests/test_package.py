@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import enum
 import importlib
 import json
 import re
@@ -68,6 +69,19 @@ def test_every_exported_name_resolves():
     missing = [name for name in baserates.__all__ if not hasattr(baserates, name)]
     assert missing == []
     assert len(set(baserates.__all__)) == len(baserates.__all__)
+
+
+def test_every_exported_class_is_a_named_tuple_enum_or_exception():
+    classes = {name: getattr(baserates, name) for name in baserates.__all__}
+    classes = {name: value for name, value in classes.items() if isinstance(value, type)}
+    assert {"IngestReport", "Metric", "IngestError", "TreeCount"} <= set(classes)
+    odd = [
+        name
+        for name, cls in classes.items()
+        if not (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+        and not issubclass(cls, (enum.Enum, Exception))
+    ]
+    assert odd == []
 
 
 def test_unknown_name_raises_attribute_error():

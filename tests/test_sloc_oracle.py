@@ -251,28 +251,24 @@ def oracle_count_tree(root, registry) -> TreeCount:
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
     by_extension = extension_map(registry)
-    result = TreeCount()
+    files, by_language, total, skipped, unreadable = [], {}, LineCounts(), 0, []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
         for filename in sorted(filenames):
             path = Path(dirpath) / filename
             syntax = by_extension.get(path.suffix.lower())
             if syntax is None:
-                result.skipped += 1
+                skipped += 1
                 continue
             try:
                 counts = _read_and_classify(path, syntax)
             except OSError as exc:
-                result.unreadable.append(f"{path}: {exc.strerror or exc}")
+                unreadable.append(f"{path}: {exc.strerror or exc}")
                 continue
-            result.files.append(
-                FileCount(path.relative_to(root).as_posix(), syntax.name, counts)
-            )
-            result.by_language[syntax.name] = (
-                result.by_language.get(syntax.name, LineCounts()) + counts
-            )
-            result.total = result.total + counts
-    return result
+            files.append(FileCount(path.relative_to(root).as_posix(), syntax.name, counts))
+            by_language[syntax.name] = by_language.get(syntax.name, LineCounts()) + counts
+            total = total + counts
+    return TreeCount(files, by_language, total, skipped, unreadable)
 
 
 # Names whose suffix rule is easy to get wrong, with spaces and beyond ASCII.
